@@ -59,10 +59,6 @@ class AcSystem:
                                                op.operating_points())
         self._rhs = self._engine.rhs
 
-    @property
-    def backend_name(self) -> str:
-        return self._backend.name
-
     # Dense matrix views for consumers that need raw ``(G, B)`` (e.g.
     # the noise solver's adjoint transpose solve).
     @property

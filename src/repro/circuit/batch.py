@@ -22,7 +22,7 @@ This module exploits the shared structure.  :class:`SampleBatchPlan`
   ``(G, B)``) as triplet descriptors whose values are per-sample arrays;
 * runs the **full lockstep DC homotopy chain** over all samples,
   evaluating every MOSFET once per iteration for the whole active batch
-  (:func:`repro.circuit.mos.evaluate_nmos_batch`) and replicating the
+  (:func:`repro.circuit.mos.evaluate_nmos_stacked`) and replicating the
   scalar solver's damping/convergence/fault semantics per sample.
   Samples that leave the warm-Newton happy path (non-finite update or
   iteration cap) re-enter the next homotopy stage in lockstep — cold
@@ -54,8 +54,8 @@ from .devices import (Capacitor, Inductor, Isource, Mosfet, Resistor, Vcvs,
                       Vccs, Vsource)
 from .linsolve import (DenseAcEngine, SparseAcEngine, SparsePattern,
                        TripletStamper, resolve_backend)
-from .mos import (REGION_NAMES, evaluate_nmos_batch,
-                  evaluate_nmos_stacked, intrinsic_capacitances_batch)
+from .mos import (REGION_NAMES, evaluate_nmos_stacked,
+                  intrinsic_capacitances_batch)
 from .netlist import Circuit
 
 #: Resistance factor of the probe build; a power of two, so a builder
@@ -115,13 +115,6 @@ def probe_maps(proto: Circuit) -> Tuple[Dict[str, float], Dict[str, float]]:
             dvto[dev.name] = 0.01 * index
             beta[dev.name] = 1.0 + 0.125 * index
     return dvto, beta
-
-
-def _col(x: np.ndarray, index: int) -> np.ndarray:
-    """Per-sample voltage column, treating ground (-1) as 0 V."""
-    if index < 0:
-        return np.zeros(x.shape[0])
-    return x[:, index]
 
 
 def _mos_adds(nd: int, ng: int, ns: int, nb: int
@@ -566,8 +559,8 @@ class SampleBatchPlan:
         evaluation: every ``(devices,)`` constant is computed with the
         exact scalar expression the per-device path uses
         (``lambda_ / (l * 1e6)``, ``w / l``), so broadcasting them over
-        the sample axis reproduces :func:`evaluate_nmos_batch`
-        bit-for-bit."""
+        the sample axis reproduces the per-device scalar
+        :func:`~repro.circuit.mos.evaluate_nmos` bit-for-bit."""
         idx = np.zeros((4, self.n_mos), dtype=np.intp)
         gnd = np.zeros((4, self.n_mos), dtype=bool)
         for mp in self.mosfets:

@@ -30,6 +30,7 @@ from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ..effort import Effort
 from ..errors import ConvergenceError
 from .devices import Isource, Vsource, _voltage
 from .linsolve import resolve_backend
@@ -59,6 +60,17 @@ MAX_ITERATIONS = 120
 
 #: Voltage-step damping limit per Newton iteration [V].
 MAX_STEP_V = 0.6
+
+#: Homotopy strategy labels in chain order; ``failed`` counts chains that
+#: exhaust every stage.  :func:`solve_dc` counts the winning label under
+#: the ``dc_effort`` namespace of the record it is handed.
+DC_STRATEGIES = ("newton-warm", "newton", "gmin-stepping",
+                 "source-stepping", "failed")
+DC_EFFORT_KEYS = tuple(f"dc_effort.{label}" for label in DC_STRATEGIES)
+
+#: Warm-start cache counters, under the ``warm_cache`` namespace.
+WARM_CACHE_KEYS = tuple(f"warm_cache.{name}" for name in (
+    "hits", "misses", "chain_seeds", "chain_solves", "evictions"))
 
 
 def gmin_schedule() -> Iterator[float]:
@@ -211,7 +223,7 @@ def _source_stepping(circuit: Circuit, layout: MnaLayout,
 
 def solve_dc(circuit: Circuit, temp_c: float = 27.0,
              x0: Optional[np.ndarray] = None,
-             backend=None, effort: Optional["DcEffort"] = None) -> DCResult:
+             backend=None, effort: Optional[Effort] = None) -> DCResult:
     """Find the DC operating point of ``circuit`` at ``temp_c`` Celsius.
 
     ``x0`` seeds a leading "newton-warm" stage (e.g. with the solution of
@@ -224,9 +236,9 @@ def solve_dc(circuit: Circuit, temp_c: float = 27.0,
     the default picks by node count and keeps small circuits on the
     dense path bit-identically.
 
-    ``effort`` is an optional :class:`DcEffort` counter bundle: the
-    winning strategy label is counted on success, ``"failed"`` when the
-    whole chain gives up.
+    ``effort`` is an optional :class:`~repro.effort.Effort` record: the
+    winning strategy label is counted as ``dc_effort.<label>`` on
+    success, ``dc_effort.failed`` when the whole chain gives up.
 
     Raises :class:`ConvergenceError` if all homotopy strategies fail.
     """
@@ -258,60 +270,15 @@ def solve_dc(circuit: Circuit, temp_c: float = 27.0,
         try:
             x, iterations = run()
             if effort is not None:
-                effort.count(label)
+                effort.count(f"dc_effort.{label}")
             return DCResult(circuit, layout, x, temp_c, iterations, label)
         except ConvergenceError as exc:
             last_error = exc
     if effort is not None:
-        effort.count("failed")
+        effort.count("dc_effort.failed")
     raise ConvergenceError(
         f"all DC strategies failed for circuit {circuit.title!r}: "
         f"{last_error}")
-
-
-class DcEffort:
-    """Per-strategy DC solve counters, additive across pool workers.
-
-    One counter per homotopy strategy label (``newton-warm`` / ``newton``
-    / ``gmin-stepping`` / ``source-stepping``) plus ``failed`` for chains
-    that exhaust every stage.  :func:`solve_dc` increments the winning
-    label when handed an instance, and the batched engine increments the
-    same labels for lockstep-solved samples, so the counters stay exact
-    regardless of which path ran a sample.  The counter API mirrors
-    :class:`WarmStartCache` (``stats``/``absorb``/``counter_delta``) so
-    the run telemetry can fold deltas through pool workers and shard
-    merges identically.
-    """
-
-    COUNTER_KEYS = ("newton-warm", "newton", "gmin-stepping",
-                    "source-stepping", "failed")
-
-    def __init__(self):
-        self._counts: Dict[str, int] = {key: 0 for key in self.COUNTER_KEYS}
-
-    def count(self, label: str, n: int = 1) -> None:
-        """Record ``n`` DC solves settled by strategy ``label``."""
-        self._counts[label] = self._counts.get(label, 0) + int(n)
-
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot for telemetry (additive across workers)."""
-        return dict(self._counts)
-
-    def absorb(self, counters: Dict[str, int]) -> None:
-        """Fold counter deltas from another instance (a pool worker's)."""
-        for key, value in counters.items():
-            self._counts[key] = self._counts.get(key, 0) + int(value)
-
-    @classmethod
-    def counter_delta(cls, after: Dict[str, int],
-                      before: Dict[str, int]) -> Dict[str, int]:
-        """Monotone-counter difference of two :meth:`stats` snapshots."""
-        keys = set(after) | set(before)
-        return {key: int(after.get(key, 0)) - int(before.get(key, 0))
-                for key in keys}
-
-    def clear(self) -> None:
-        self._counts = {key: 0 for key in self.COUNTER_KEYS}
 
 
 class WarmStartCache:
@@ -332,12 +299,13 @@ class WarmStartCache:
     history — so every anchor remains a pure function of its key and
     pooled/serial evaluation stay bit-identical.  Counters
     (``hits``/``misses``/``chain_seeds``/``chain_solves``/``evictions``)
-    feed the run telemetry (:meth:`stats`).
+    go to the ``warm_cache`` namespace of :attr:`effort`.
     """
 
     _MISSING = object()
 
-    def __init__(self, maxsize: int = 256, chain_maxsize: int = 64):
+    def __init__(self, maxsize: int = 256, chain_maxsize: int = 64,
+                 effort: Optional[Effort] = None):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         if chain_maxsize < 1:
@@ -345,14 +313,10 @@ class WarmStartCache:
                 f"chain_maxsize must be >= 1, got {chain_maxsize}")
         self.maxsize = maxsize
         self.chain_maxsize = chain_maxsize
-        self.hits = 0
-        self.misses = 0
-        #: fine-cell representative solves seeded from a chain anchor
-        self.chain_seeds = 0
-        #: coarse-cell (chain) representatives cold-solved
-        self.chain_solves = 0
-        #: entries dropped from either store by the FIFO bound
-        self.evictions = 0
+        #: record the ``warm_cache.*`` counters go to (the owning
+        #: template's, so they travel with the rest of its effort)
+        self.effort = effort if effort is not None \
+            else Effort(declare=WARM_CACHE_KEYS)
         self._data: Dict[tuple, Optional[np.ndarray]] = {}
         self._chain: Dict[tuple, Optional[np.ndarray]] = {}
 
@@ -360,10 +324,8 @@ class WarmStartCache:
         """The cached anchor (may be None for a failed cell), or the
         :data:`WarmStartCache._MISSING` sentinel when unknown."""
         value = self._data.get(key, self._MISSING)
-        if value is self._MISSING:
-            self.misses += 1
-        else:
-            self.hits += 1
+        self.effort.count("warm_cache.misses" if value is self._MISSING
+                          else "warm_cache.hits")
         return value
 
     def store(self, key: tuple, x) -> None:
@@ -372,7 +334,7 @@ class WarmStartCache:
         Arrays are copied so callers cannot mutate cached state."""
         if key not in self._data and len(self._data) >= self.maxsize:
             self._data.pop(next(iter(self._data)))
-            self.evictions += 1
+            self.effort.count("warm_cache.evictions")
         if x is None:
             value = None
         elif isinstance(x, tuple):
@@ -394,37 +356,16 @@ class WarmStartCache:
         """Cache a coarse-cell chain anchor (``x`` vector or ``None``)."""
         if key not in self._chain and len(self._chain) >= self.chain_maxsize:
             self._chain.pop(next(iter(self._chain)))
-            self.evictions += 1
+            self.effort.count("warm_cache.evictions")
         self._chain[key] = None if x is None \
             else np.asarray(x, dtype=float).copy()
 
-    #: monotone counters (deltas of these fold additively across pool
-    #: workers; the ``entries``/``chain_entries`` gauges do not)
-    COUNTER_KEYS = ("hits", "misses", "chain_seeds", "chain_solves",
-                    "evictions")
-
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot for telemetry (additive across workers)."""
-        return {"hits": self.hits, "misses": self.misses,
-                "chain_seeds": self.chain_seeds,
-                "chain_solves": self.chain_solves,
-                "evictions": self.evictions,
+        """Counter view plus the ``entries``/``chain_entries`` gauges
+        (gauges are sizes, not additive counts)."""
+        return {**self.effort.namespace("warm_cache"),
                 "entries": len(self._data),
                 "chain_entries": len(self._chain)}
-
-    def absorb(self, counters: Dict[str, int]) -> None:
-        """Fold counter deltas from another cache (a pool worker's) into
-        this one; gauges in ``counters`` are ignored."""
-        for key in self.COUNTER_KEYS:
-            setattr(self, key, getattr(self, key)
-                    + int(counters.get(key, 0)))
-
-    @classmethod
-    def counter_delta(cls, after: Dict[str, int],
-                      before: Dict[str, int]) -> Dict[str, int]:
-        """Monotone-counter difference of two :meth:`stats` snapshots."""
-        return {key: int(after.get(key, 0)) - int(before.get(key, 0))
-                for key in cls.COUNTER_KEYS}
 
     def clear(self) -> None:
         self._data.clear()

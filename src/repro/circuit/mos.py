@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -135,10 +134,10 @@ def _softplus(x: float, width: float) -> tuple[float, float]:
     ``|x| >> width`` it degenerates to ``max(x, 0)`` without overflow.
 
     Uses ``np.exp`` / ``np.log1p`` (not :mod:`math`) so the scalar path
-    is bitwise identical to the vectorized :func:`softplus_batch` — the
-    two libm implementations differ in the last ulp for some arguments,
-    and the sample-batched engine's parity guarantee rests on both paths
-    computing the same bits.
+    is bitwise identical to the softplus inside
+    :func:`evaluate_nmos_stacked` — the two libm implementations differ
+    in the last ulp for some arguments, and the sample-batched engine's
+    parity guarantee rests on both paths computing the same bits.
     """
     t = x / width
     if t > 35.0:
@@ -148,26 +147,6 @@ def _softplus(x: float, width: float) -> tuple[float, float]:
         return width * e, e
     e = float(np.exp(t))
     return width * float(np.log1p(e)), e / (1.0 + e)
-
-
-def softplus_batch(x: np.ndarray, width: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_softplus`, elementwise bitwise identical."""
-    t = x / width
-    value = np.empty_like(t)
-    slope = np.empty_like(t)
-    hi = t > 35.0
-    lo = t < -35.0
-    mid = ~(hi | lo)
-    value[hi] = x[hi]
-    slope[hi] = 1.0
-    e_lo = np.exp(t[lo])
-    value[lo] = width * e_lo
-    slope[lo] = e_lo
-    e = np.exp(t[mid])
-    value[mid] = width * np.log1p(e)
-    slope[mid] = e / (1.0 + e)
-    return value, slope
 
 
 def evaluate_nmos(
@@ -253,102 +232,6 @@ REGION_CUTOFF = 2
 REGION_NAMES = ("saturation", "triode", "cutoff")
 
 
-def evaluate_nmos_batch(
-    model: MosModel,
-    w: float,
-    l: float,
-    vgs: np.ndarray,
-    vds: np.ndarray,
-    vbs: np.ndarray,
-    vto: Optional[np.ndarray] = None,
-    kp: Optional[np.ndarray] = None,
-) -> dict:
-    """Vectorized :func:`evaluate_nmos` over a sample axis.
-
-    ``vgs``/``vds``/``vbs`` are per-sample arrays for **one** device
-    (fixed ``w``, ``l``); ``vto``/``kp`` optionally carry per-sample
-    statistical perturbations of the model card (already
-    temperature-adjusted, i.e. what ``MosModel.perturbed`` would have
-    produced per sample).  Every arithmetic step mirrors the scalar
-    function operation-for-operation, so each slice of the result is
-    bitwise identical to the corresponding scalar call — the property
-    the sample-batched Newton engine's parity guarantee rests on.
-
-    Returns a dict of arrays: ``ids, gm, gds, gmb, vth, vdsat, vov,
-    region`` (integer codes indexing :data:`REGION_NAMES`).
-    """
-    vgs = np.asarray(vgs, dtype=float)
-    vds = np.asarray(vds, dtype=float)
-    vbs = np.asarray(vbs, dtype=float)
-    vto_arr = np.full_like(vgs, model.vto) if vto is None \
-        else np.asarray(vto, dtype=float)
-    kp_arr = np.full_like(vgs, model.kp) if kp is None \
-        else np.asarray(kp, dtype=float)
-
-    # --- threshold with body effect -------------------------------------
-    vto_eff = model.polarity * vto_arr
-    phi = model.phi
-    arg = phi - vbs
-    arg_min = 0.05
-    sq = math.sqrt(arg_min)
-    clamped = arg < arg_min
-    sqrt_term = np.empty_like(arg)
-    dsq_darg = np.empty_like(arg)
-    # Quadratic clamp branch (value and slope continuous at arg_min).
-    c_slope = 0.5 / sq
-    lin = sq + c_slope * (arg[clamped] - arg_min)
-    floor = lin < 0.5 * sq
-    d_c = np.full(lin.shape, c_slope)
-    lin[floor] = 0.5 * sq
-    d_c[floor] = 0.0
-    sqrt_term[clamped] = lin
-    dsq_darg[clamped] = d_c
-    ok = ~clamped
-    root = np.sqrt(arg[ok])
-    sqrt_term[ok] = root
-    dsq_darg[ok] = 0.5 / root
-    vth = vto_eff + model.gamma * (sqrt_term - math.sqrt(phi))
-    dvth_dvbs = -model.gamma * dsq_darg
-
-    # --- smoothed overdrive ---------------------------------------------
-    vov_raw = vgs - vth
-    vov, dvov = softplus_batch(vov_raw, model.smoothing)
-
-    # --- channel-length modulation ---------------------------------------
-    lam = model.lambda_ / (l * 1e6)
-    beta = kp_arr * (w / l)
-    clm = 1.0 + lam * vds
-
-    vdsat = vov
-    sat = vds >= vdsat
-    tri = ~sat
-    ids = np.empty_like(vgs)
-    dids_dvov = np.empty_like(vgs)
-    gds = np.empty_like(vgs)
-    # Saturation: ids = beta/2 * vov^2 * (1 + lam*vds)
-    b_s, v_s, c_s = beta[sat], vov[sat], clm[sat]
-    ids[sat] = 0.5 * b_s * v_s * v_s * c_s
-    dids_dvov[sat] = b_s * v_s * c_s
-    gds[sat] = 0.5 * b_s * v_s * v_s * lam
-    # Triode: ids = beta * (vov - vds/2) * vds * (1 + lam*vds)
-    b_t, v_t, d_t, c_t = beta[tri], vov[tri], vds[tri], clm[tri]
-    ids[tri] = b_t * (v_t - 0.5 * d_t) * d_t * c_t
-    dids_dvov[tri] = b_t * d_t * c_t
-    gds[tri] = b_t * ((v_t - d_t) * c_t + (v_t - 0.5 * d_t) * d_t * lam)
-
-    region = np.where(vov_raw > 0,
-                      np.where(sat, REGION_SATURATION, REGION_TRIODE),
-                      REGION_CUTOFF)
-
-    gm = dids_dvov * dvov
-    gmb = dids_dvov * dvov * (-dvth_dvbs)
-
-    return {
-        "ids": ids, "gm": gm, "gds": gds, "gmb": gmb,
-        "vth": vth, "vdsat": vdsat, "vov": vov_raw, "region": region,
-    }
-
-
 def evaluate_nmos_stacked(
     phi: np.ndarray,
     gamma: np.ndarray,
@@ -361,7 +244,8 @@ def evaluate_nmos_stacked(
     vds: np.ndarray,
     vbs: np.ndarray,
 ) -> dict:
-    """:func:`evaluate_nmos_batch` over a ``(samples, devices)`` plane.
+    """Vectorized :func:`evaluate_nmos` over a ``(samples, devices)``
+    plane.
 
     One call covers every transistor of a sample-batched Newton
     iteration instead of one call per device: the per-device model-card
@@ -369,10 +253,13 @@ def evaluate_nmos_stacked(
     pre-divided with the exact scalar expressions ``lambda_ / (l * 1e6)``
     and ``w / l``; ``vto_eff`` already polarity-reflected and combined
     with the per-sample threshold shifts) and broadcast against the
-    ``(samples, devices)`` voltage matrices.  Every operation is
-    elementwise, so each entry is bitwise identical to the per-device
-    :func:`evaluate_nmos_batch` call — the stacking changes only the
-    array shapes the ufuncs see, never the per-element arithmetic.
+    ``(samples, devices)`` voltage matrices.  Every arithmetic step
+    mirrors the scalar function operation-for-operation and is
+    elementwise, so each entry is bitwise identical to the corresponding
+    scalar call — the property the sample-batched Newton engine's parity
+    guarantee rests on.  Returns a dict of arrays: ``ids, gm, gds, gmb,
+    vth, vdsat, vov, region`` (integer codes indexing
+    :data:`REGION_NAMES`).
     """
     # --- threshold with body effect -------------------------------------
     arg = phi - vbs

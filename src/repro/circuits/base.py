@@ -29,8 +29,10 @@ import numpy as np
 
 from ..circuit.batch import (BatchUnsupported, PROBE_RESISTANCE_FACTOR,
                              SampleBatchPlan, probe_maps)
-from ..circuit.dc import DcEffort, WarmStartCache, solve_dc
+from ..circuit.dc import (DC_EFFORT_KEYS, WARM_CACHE_KEYS, WarmStartCache,
+                          solve_dc)
 from ..circuit.netlist import Circuit
+from ..effort import Effort
 from ..errors import AnalysisError, ExtractionError, ReproError
 from ..evaluation.measure import OpenLoopOpampBench
 from ..evaluation.template import CircuitTemplate, DesignParameter
@@ -149,8 +151,8 @@ class OpampTemplate(CircuitTemplate):
         #: linear-solver backend spec for every solve this template runs
         #: ("auto"/"dense"/"sparse"; see :mod:`repro.circuit.linsolve`)
         self.linsolve = "auto"
-        self._warm_cache = WarmStartCache()
-        self._dc_effort = DcEffort()
+        self.effort = Effort(declare=WARM_CACHE_KEYS + DC_EFFORT_KEYS)
+        self._warm_cache = WarmStartCache(effort=self.effort)
 
     # -- hooks for concrete circuits -------------------------------------------
     @abc.abstractmethod
@@ -178,7 +180,7 @@ class OpampTemplate(CircuitTemplate):
         return OpenLoopOpampBench(circuit, out="out", supply_source="VDD",
                                   temp_c=theta["temp"], x0=x0,
                                   ft_hint=ft_hint, linsolve=self.linsolve,
-                                  dc_effort=self._dc_effort)
+                                  effort=self.effort)
 
     def _warm_anchor(self, d: Mapping[str, float],
                      theta: Mapping[str, float]) -> Optional[tuple]:
@@ -231,13 +233,13 @@ class OpampTemplate(CircuitTemplate):
             x_seed = self._chain_seed(key, d_rep, theta_rep) \
                 if self.warm_chain else None
             x = solve_dc(circuit, temp_c=theta_rep["temp"], x0=x_seed,
-                         backend=self.linsolve, effort=self._dc_effort).x
+                         backend=self.linsolve, effort=self.effort).x
             ft = None
             try:
                 bench = OpenLoopOpampBench(
                     circuit, out="out", supply_source="VDD",
                     temp_c=theta_rep["temp"], x0=x,
-                    linsolve=self.linsolve, dc_effort=self._dc_effort)
+                    linsolve=self.linsolve, effort=self.effort)
                 ft = bench.transit_frequency()
             except (AnalysisError, ExtractionError):
                 ft = None
@@ -276,22 +278,22 @@ class OpampTemplate(CircuitTemplate):
                 circuit = self.build(d_parent, pv, theta_parent)
                 x_parent = solve_dc(circuit, temp_c=theta_parent["temp"],
                                     backend=self.linsolve,
-                                    effort=self._dc_effort).x
+                                    effort=self.effort).x
             except ReproError:
                 x_parent = None
-            cache.chain_solves += 1
+            self.effort.count("warm_cache.chain_solves")
             cache.store_chain(parent_key, x_parent)
         if x_parent is not None:
-            cache.chain_seeds += 1
+            self.effort.count("warm_cache.chain_seeds")
         return x_parent
 
     def warm_cache_stats(self) -> Dict[str, int]:
-        """Warm-start cache counters for run telemetry."""
+        """Warm-start cache counters and size gauges (read-only view)."""
         return self._warm_cache.stats()
 
     def dc_effort_stats(self) -> Dict[str, int]:
-        """Per-strategy DC solve counters for run telemetry."""
-        return self._dc_effort.stats()
+        """Per-strategy DC solve counters (read-only view)."""
+        return self.effort.namespace("dc_effort")
 
     def _anchor_slopes(self, d_rep: Mapping[str, float],
                        theta_rep: Mapping[str, float],
@@ -310,7 +312,7 @@ class OpampTemplate(CircuitTemplate):
                 circuit = self.build(d_rep, pv, theta_rep)
                 x_i = solve_dc(circuit, temp_c=theta_rep["temp"], x0=x,
                                backend=self.linsolve,
-                               effort=self._dc_effort).x
+                               effort=self.effort).x
             except ReproError:
                 continue
             if x_i.size == x.size:
@@ -418,12 +420,12 @@ class OpampTemplate(CircuitTemplate):
                         plan.sample_circuit(k), out="out",
                         supply_source="VDD", temp_c=theta["temp"], x0=x0,
                         ft_hint=ft_hint, linsolve=self.linsolve,
-                        dc_effort=self._dc_effort)
+                        effort=self.effort)
                     bench._op = plan.dc_result(k, int(iters[k]),
                                                strategies[k])
                     # The serial body counts when extract touches the
                     # lazy bench.op; the injected result counts here.
-                    self._dc_effort.count(strategies[k])
+                    self.effort.count(f"dc_effort.{strategies[k]}")
                     bench._systems = plan.systems(k, bench._op)
                     try:
                         entries[i] = self.extract(bench, d, theta)
@@ -450,7 +452,7 @@ class OpampTemplate(CircuitTemplate):
             bench = OpenLoopOpampBench(
                 circuit, out="out", supply_source="VDD",
                 temp_c=theta["temp"], x0=x0, ft_hint=ft_hint,
-                linsolve=self.linsolve, dc_effort=self._dc_effort)
+                linsolve=self.linsolve, effort=self.effort)
         except Exception as exc:
             return exc
         try:

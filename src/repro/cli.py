@@ -136,6 +136,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_yield(args: argparse.Namespace) -> int:
     import json
 
+    from .reporting import effort_rows
     from .serve.jobs import YieldRequest, execute_yield, yield_artifact
 
     if args.circuit not in CIRCUITS:
@@ -180,21 +181,8 @@ def cmd_yield(args: argparse.Namespace) -> int:
           f"({report.cache_hits} cache hits, "
           f"{report.theta_groups} worst-case corners, "
           f"backend {report.backend})")
-    warm = getattr(report, "warm_cache", {})
-    if warm.get("hits", 0) or warm.get("misses", 0):
-        chain = ""
-        if warm.get("chain_seeds", 0) or warm.get("chain_solves", 0):
-            chain = (f", chain seeds/solves "
-                     f"{warm.get('chain_seeds', 0)}"
-                     f"/{warm.get('chain_solves', 0)}")
-        print(f"warm-start cache: {warm.get('hits', 0)} hits / "
-              f"{warm.get('misses', 0)} misses{chain}")
-    dc_effort = getattr(report, "dc_effort", {})
-    if any(dc_effort.values()):
-        parts = ", ".join(f"{label} {count}"
-                          for label, count in sorted(dc_effort.items())
-                          if count)
-        print(f"dc solve strategies: {parts}")
+    for name, counts in effort_rows(report.effort):
+        print(f"{name}: {counts}")
     if report.retried_chunks:
         print(f"warning: {report.retried_chunks}/{report.chunks} chunks "
               f"re-run serially in the parent "

@@ -12,8 +12,8 @@
 * :mod:`repro.core.coordinate_search` — Eq. 19 maximization,
 * :mod:`repro.core.line_search`       — feasibility line search (Eq. 23),
 * :mod:`repro.core.optimizer`         — the full Fig. 6 loop,
-* :mod:`repro.core.montecarlo`        — simulation-based operational yield
-  (Eq. 6-7) used for verification.
+* :mod:`repro.core.montecarlo`        — the legacy Monte-Carlo record
+  (verification itself runs on :mod:`repro.yieldsim`).
 """
 
 from .constraints import (LinearConstraints, UnconstrainedRegion,
@@ -25,7 +25,7 @@ from .line_search import LineSearchResult, feasibility_line_search
 from .linear_model import SpecLinearModel, build_spec_models, detect_quadratic
 from .mismatch import (PairMismatch, analyze_mismatch, eta_weight,
                        mismatch_measure, phi_window, rank_matching_pairs)
-from .montecarlo import MonteCarloResult, operational_monte_carlo
+from .montecarlo import MonteCarloResult
 from .optimizer import (IterationRecord, OptimizationResult, OptimizerConfig,
                         YieldOptimizer)
 from .wcd_report import (SpecYield, WcdYieldReport, partial_yield,
@@ -42,7 +42,7 @@ __all__ = [
     "build_spec_models", "coordinate_search", "detect_quadratic",
     "eta_weight", "feasibility_line_search", "find_all_worst_case_points",
     "find_feasible_point", "find_worst_case_point", "linearize_constraints",
-    "mismatch_measure", "operational_monte_carlo", "partial_yield",
+    "mismatch_measure", "partial_yield",
     "phi_window", "rank_matching_pairs", "true_feasible", "violation",
     "SpecYield", "WcdYieldReport", "wcd_yield_report",
 ]

@@ -1,25 +1,19 @@
-"""Simulation-based operational Monte-Carlo yield (Sec. 2, Eq. 6-7).
+"""The legacy operational Monte-Carlo record (Sec. 2, Eq. 6-7).
 
-.. deprecated-shim::
-   The estimation logic now lives in :mod:`repro.yieldsim`
-   (:class:`~repro.yieldsim.OperationalMC` behind the pluggable
-   :class:`~repro.yieldsim.YieldEstimator` interface, with importance
-   sampling and QMC siblings plus parallel batch execution).  This module
-   remains as a thin compatibility shim: :func:`operational_monte_carlo`
-   keeps its historical signature and produces numerically identical
-   estimates (same seeded draws, same pass/fail logic).
+Estimation lives in :mod:`repro.yieldsim` (:class:`~repro.yieldsim.
+OperationalMC` and its siblings).  :class:`MonteCarloResult` remains
+because version-1 checkpoints store verification results in this form
+(see :mod:`repro.runtime.checkpoint`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..evaluation.evaluator import Evaluator
 from ..statistics.intervals import wilson_interval
-from ..statistics.sampling import SampleSet
 
 
 @dataclass
@@ -58,36 +52,3 @@ class MonteCarloResult:
         """
         successes = self.yield_estimate * self.n_samples
         return wilson_interval(successes, self.n_samples, level)
-
-
-def operational_monte_carlo(
-    evaluator: Evaluator,
-    d: Mapping[str, float],
-    theta_per_spec: Mapping[str, Mapping[str, float]],
-    n_samples: int = 300,
-    seed: Optional[int] = 2001,
-    samples: Optional[SampleSet] = None,
-) -> MonteCarloResult:
-    """Estimate ``Y_tilde`` (Eq. 6-7) with real simulations.
-
-    ``theta_per_spec`` maps spec keys to their worst-case operating
-    points (from
-    :func:`repro.spec.find_worst_case_operating_points`).  Pass an explicit
-    ``samples`` set to reuse draws across designs (paired comparison).
-
-    Compatibility shim over :class:`repro.yieldsim.OperationalMC`; new
-    code should use the estimator interface directly (it adds confidence
-    intervals, telemetry, and parallel execution).
-    """
-    from ..yieldsim import OperationalMC
-    result = OperationalMC().estimate(
-        evaluator, d, theta_per_spec, n_samples=n_samples, seed=seed,
-        samples=samples)
-    return MonteCarloResult(
-        yield_estimate=result.estimate,
-        n_samples=result.n_samples,
-        bad_fraction=dict(result.bad_fraction),
-        simulations=result.simulations,
-        performance_mean=dict(result.performance_mean),
-        performance_std=dict(result.performance_std),
-    )

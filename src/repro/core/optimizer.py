@@ -41,6 +41,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from ..effort import Effort
 from ..errors import ReproError
 from ..evaluation.evaluator import Evaluator
 from ..evaluation.template import CircuitTemplate
@@ -160,19 +161,13 @@ class OptimizationResult:
     d_final: Dict[str, float]
     converged: bool
     wall_time_s: float
-    total_simulations: int
-    total_constraint_simulations: int
-    #: evaluator requests answered from cache / issued in total (Table-7
-    #: effort accounting; defaults keep older call sites working)
-    total_cache_hits: int = 0
-    total_requests: int = 0
+    #: the run's effort at its end: the evaluator's record (simulations,
+    #: requests, cache hits, constraint checks, fault-policy counters)
+    #: plus the template's (``warm_cache.*``, ``dc_effort.*``...)
+    effort: Effort = field(default_factory=Effort)
     #: why the loop ended: "converged", "max_iterations", "deadline",
     #: "sim_budget", or "aborted: <ErrorType>: <message>"
     stop_reason: str = STOP_MAX_ITERATIONS
-    #: total evaluations counted as failed by the fault policy
-    total_failed_samples: int = 0
-    #: total retry-with-jitter attempts issued by the fault policy
-    total_retried_evaluations: int = 0
     #: aggregated failure/recovery telemetry of the verification runs
     #: (a :class:`repro.yieldsim.SimulatorHealth`, None on legacy traces)
     health: Optional[object] = None
@@ -181,14 +176,39 @@ class OptimizationResult:
     pool_jobs: int = 1
     pool_tasks: int = 0
     pool_died: bool = False
-    #: warm-start cache counters of the template at run end
-    #: (hits/misses/chain_seeds/chain_solves/evictions/...), when the
-    #: template exposes them
+    #: the template's warm-start cache view at run end (counters plus
+    #: the entries/chain_entries gauges), when it has one
     warm_cache: Optional[Dict[str, int]] = None
-    #: per-strategy DC solve counters of the template at run end
-    #: (newton-warm/newton/gmin-stepping/source-stepping/failed), when
-    #: the template exposes them
-    dc_effort: Optional[Dict[str, int]] = None
+
+    # -- Table-7 views of the effort record -----------------------------------
+    @property
+    def total_simulations(self) -> int:
+        return self.effort["simulations"]
+
+    @property
+    def total_constraint_simulations(self) -> int:
+        return self.effort["constraint"]
+
+    @property
+    def total_cache_hits(self) -> int:
+        return self.effort["cache_hits"]
+
+    @property
+    def total_requests(self) -> int:
+        return self.effort["requests"]
+
+    @property
+    def total_failed_samples(self) -> int:
+        """Evaluations the fault policy counted as failed."""
+        return self.effort["failed_evaluations"]
+
+    @property
+    def total_retried_evaluations(self) -> int:
+        return self.effort["retried_evaluations"]
+
+    @property
+    def dc_effort(self) -> Dict[str, int]:
+        return self.effort.namespace("dc_effort")
 
     @property
     def initial(self) -> IterationRecord:
@@ -222,6 +242,13 @@ class YieldOptimizer:
         self.template = template
         self.config = config or OptimizerConfig()
         self.evaluator = evaluator or Evaluator(template)
+        if self.evaluator.template is not template:
+            # The optimizer configures (linsolve) and reports (effort)
+            # its own template; an evaluator simulating another instance
+            # would leave both on a template nothing evaluates.
+            raise ReproError(
+                "the evaluator wraps a different template instance than "
+                "the optimizer's; pass evaluator.template")
         if self.config.linsolve is not None:
             # Push the override onto the template so every solve of the
             # run — evaluations, warm anchors, constraint benches — uses
@@ -337,13 +364,7 @@ class YieldOptimizer:
             previous_wc=previous_wc,
             sample_state={"n": samples.n, "dim": samples.dim,
                           "seed": self.config.seed},
-            counters={
-                "simulations": evaluator.simulation_count,
-                "requests": evaluator.request_count,
-                "constraint": evaluator.constraint_count,
-                "cache_hits": evaluator.cache_hits,
-                "cache_misses": evaluator.cache_misses,
-            },
+            counters=evaluator.effort.to_dict(),
             wall_time_s=wall_offset + (time.time() - start_time),
             stop_reason=stop_reason))
 
@@ -360,12 +381,8 @@ class YieldOptimizer:
                 f"original trajectory")
         # Fold the checkpointed effort back in, so cumulative Table-7
         # accounting spans the whole logical run across restarts.
-        self.evaluator.absorb_counts(
-            simulations=state.counters.get("simulations", 0),
-            requests=state.counters.get("requests", 0),
-            constraint=state.counters.get("constraint", 0),
-            cache_hits=state.counters.get("cache_hits", 0),
-            cache_misses=state.counters.get("cache_misses", 0))
+        record = self.evaluator.effort
+        record += Effort.from_dict(state.counters)
         return state
 
     # -- main loop ----------------------------------------------------------------
@@ -564,18 +581,11 @@ class YieldOptimizer:
             d_final=dict(d_f),
             converged=converged,
             wall_time_s=wall_offset + (time.time() - start_time),
-            total_simulations=evaluator.simulation_count,
-            total_constraint_simulations=evaluator.constraint_count,
-            total_cache_hits=evaluator.cache_hits,
-            total_requests=evaluator.request_count,
+            effort=evaluator.total_effort(),
             stop_reason=stop_reason,
-            total_failed_samples=guarded.failed_evaluations,
-            total_retried_evaluations=guarded.retried_evaluations,
             health=health,
             pool_jobs=pool.jobs if pool is not None else 1,
             pool_tasks=pool.tasks_dispatched if pool is not None else 0,
             pool_died=pool is not None and not pool.alive,
             warm_cache=template.warm_cache_stats()
-            if hasattr(template, "warm_cache_stats") else None,
-            dc_effort=template.dc_effort_stats()
-            if hasattr(template, "dc_effort_stats") else None)
+            if hasattr(template, "warm_cache_stats") else None)

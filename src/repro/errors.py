@@ -67,11 +67,6 @@ class WorstCaseError(ReproError):
     on the specification boundary."""
 
 
-class OptimizationError(ReproError):
-    """Raised for unrecoverable failures inside the yield optimization loop
-    (Fig. 6 of the paper)."""
-
-
 class ArtifactError(ReproError):
     """Raised for malformed, incompatible, or unvalidatable stored result
     artifacts (the versioned JSON files written by ``yield --out``,
@@ -80,4 +75,31 @@ class ArtifactError(ReproError):
 
 class ServeError(ReproError):
     """Raised by the ``repro.serve`` job server and client for invalid
-    job specifications, unknown job ids, and protocol-level failures."""
+    job specifications, unknown job ids, and protocol-level failures.
+
+    The job server answers each error with its class's HTTP ``status``,
+    plus a ``Retry-After`` header when ``retry_after`` is set."""
+
+    status = 400
+    retry_after = False
+
+
+class UnknownJobError(ServeError):
+    """Raised for a job id the server has no record of."""
+
+    status = 404
+
+
+class JobPendingError(ServeError):
+    """Raised when a job's result is asked for while it is still queued
+    or running."""
+
+    status = 409
+    retry_after = True
+
+
+class DrainingError(ServeError):
+    """Raised when a draining daemon is handed new work."""
+
+    status = 503
+    retry_after = True

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..effort import Effort
 from ..spec.specification import Spec
 from .template import CircuitTemplate
 
@@ -31,6 +32,11 @@ from .template import CircuitTemplate
 #: round is several times cheaper than the ``f"{v:.12e}"`` string
 #: round-trip it replaces; this key is built on every single evaluation.
 _MANTISSA_SCALE = float(1 << 40)
+
+#: Headline counters every evaluator record declares.  ``constraint``
+#: (functional-constraint evaluations) appears once counted.
+EVALUATOR_COUNTERS = ("simulations", "requests", "cache_hits",
+                      "cache_misses")
 
 
 def _quantize(value: float):
@@ -66,16 +72,35 @@ class Evaluator:
                 p.name for p in template.operating_range.parameters)
         except AttributeError:
             self._theta_names = None
-        #: number of performance simulations actually run (cache misses)
-        self.simulation_count = 0
-        #: number of evaluate() requests (including cache hits)
-        self.request_count = 0
-        #: number of constraint evaluations (DC-only simulations)
-        self.constraint_count = 0
-        #: number of evaluate() requests answered from the cache
-        self.cache_hits = 0
-        #: number of evaluate() requests that had to simulate
-        self.cache_misses = 0
+        #: what this evaluation stack counted: simulations (cache
+        #: misses), requests, cache hits and misses, constraint
+        #: evaluations, and the counters of fault-policy wrappers
+        self.effort = Effort(declare=EVALUATOR_COUNTERS)
+
+    # -- counter views --------------------------------------------------------
+    @property
+    def simulation_count(self) -> int:
+        return self.effort["simulations"]
+
+    @property
+    def request_count(self) -> int:
+        return self.effort["requests"]
+
+    @property
+    def constraint_count(self) -> int:
+        return self.effort["constraint"]
+
+    @property
+    def cache_hits(self) -> int:
+        return self.effort["cache_hits"]
+
+    @property
+    def cache_misses(self) -> int:
+        return self.effort["cache_misses"]
+
+    def total_effort(self) -> Effort:
+        """Snapshot of this stack's record plus its template's."""
+        return self.effort + self.template.effort
 
     # -- core ------------------------------------------------------------------
     def _key(self, d: Mapping[str, float], s_hat: np.ndarray,
@@ -101,19 +126,20 @@ class Evaluator:
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
                  theta: Mapping[str, float]) -> Dict[str, float]:
         """All performance values at ``(d, s_hat, theta)``."""
-        self.request_count += 1
+        effort = self.effort
+        effort.count("requests")
         if not self.cache_enabled:
-            self.simulation_count += 1
-            self.cache_misses += 1
+            effort.count("simulations")
+            effort.count("cache_misses")
             return self.template.evaluate(d, s_hat, theta)
         key = self._key(d, s_hat, theta)
         hit = self._cache.get(key)
         if hit is not None:
-            self.cache_hits += 1
+            effort.count("cache_hits")
             return dict(hit)
         result = self.template.evaluate(d, s_hat, theta)
-        self.simulation_count += 1
-        self.cache_misses += 1
+        effort.count("simulations")
+        effort.count("cache_misses")
         self._cache[key] = dict(result)
         return result
 
@@ -137,10 +163,10 @@ class Evaluator:
         re-attempts serially, exactly as the serial loop would (the
         failure left nothing in the cache).
         """
+        effort = self.effort
         if not self.cache_enabled:
-            self.request_count += len(rows)
-            self.simulation_count += len(rows)
-            self.cache_misses += len(rows)
+            for key in ("requests", "simulations", "cache_misses"):
+                effort.count(key, len(rows))
             return self.template.evaluate_batch(
                 d, rows, theta, batch_samples=batch_samples)
         keys = [self._key(d, row, theta) for row in rows]
@@ -158,11 +184,11 @@ class Evaluator:
             produced = {keys[i]: entry
                         for i, entry in zip(todo, entries)}
         results: List = []
+        effort.count("requests", len(rows))
         for i, key in enumerate(keys):
-            self.request_count += 1
             hit = self._cache.get(key)
             if hit is not None:
-                self.cache_hits += 1
+                effort.count("cache_hits")
                 results.append(dict(hit))
                 continue
             entry = produced.pop(key, None)
@@ -180,15 +206,15 @@ class Evaluator:
                 # a raising evaluation counts the request alone.
                 results.append(entry)
                 continue
-            self.simulation_count += 1
-            self.cache_misses += 1
+            effort.count("simulations")
+            effort.count("cache_misses")
             self._cache[key] = dict(entry)
             results.append(dict(entry))
         return results
 
     def constraints(self, d: Mapping[str, float]) -> Dict[str, float]:
         """Functional constraint values c(d) (>= 0 feasible)."""
-        self.constraint_count += 1
+        self.effort.count("constraint")
         return self.template.constraints(d)
 
     # -- conveniences -----------------------------------------------------------
@@ -212,24 +238,8 @@ class Evaluator:
         return result
 
     def reset_counters(self) -> None:
-        """Zero the simulation counters (cache is kept)."""
-        self.simulation_count = 0
-        self.request_count = 0
-        self.constraint_count = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def absorb_counts(self, simulations: int = 0, requests: int = 0,
-                      constraint: int = 0, cache_hits: int = 0,
-                      cache_misses: int = 0) -> None:
-        """Fold counters produced elsewhere (e.g. by process-pool workers,
-        each of which simulates against its own evaluator copy) into this
-        evaluator's accounting, so Table-7 effort reports stay complete."""
-        self.simulation_count += simulations
-        self.request_count += requests
-        self.constraint_count += constraint
-        self.cache_hits += cache_hits
-        self.cache_misses += cache_misses
+        """Zero the counters (cache is kept)."""
+        self.effort.clear()
 
     def clear_cache(self) -> None:
         self._cache.clear()

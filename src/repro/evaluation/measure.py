@@ -86,7 +86,7 @@ class OpenLoopOpampBench:
     def __init__(self, circuit: Circuit, out: str = "out",
                  supply_source: str = "VDD", temp_c: float = 27.0,
                  x0=None, ft_hint: Optional[float] = None,
-                 linsolve=None, dc_effort=None):
+                 linsolve=None, effort=None):
         self.circuit = circuit
         self.out = out
         self.supply_source = supply_source
@@ -103,9 +103,9 @@ class OpenLoopOpampBench:
         #: f_t) used to bracket the unity-gain search tightly; a bracket
         #: miss falls back to the full sweep
         self.ft_hint = ft_hint
-        #: optional :class:`repro.circuit.dc.DcEffort` counter bundle the
-        #: lazy DC solve reports its winning strategy into
-        self.dc_effort = dc_effort
+        #: optional :class:`repro.effort.Effort` record the lazy DC solve
+        #: counts its winning strategy into
+        self.effort = effort
         self._op: Optional[DCResult] = None
         self._systems: dict = {}
 
@@ -115,7 +115,7 @@ class OpenLoopOpampBench:
         if self._op is None:
             self._op = solve_dc(self.circuit, temp_c=self.temp_c,
                                 x0=self.x0, backend=self.linsolve,
-                                effort=self.dc_effort)
+                                effort=self.effort)
         return self._op
 
     def _system(self, ac_p: complex, ac_n: complex) -> AcSystem:

@@ -24,6 +24,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..effort import Effort
 from ..errors import ReproError
 from ..spec.operating import OperatingRange
 from ..spec.specification import Performance, Spec, check_unique_performances
@@ -75,6 +76,9 @@ class CircuitTemplate(abc.ABC):
         self.operating_range = operating_range
         self.statistical_space = statistical_space
         self.constraint_names: Tuple[str, ...] = tuple(constraint_names)
+        #: work the template itself counts (DC strategies, warm-start
+        #: cache...); evaluators fold it into their run reports
+        self.effort = Effort()
         names = [p.name for p in self.design_parameters]
         if len(set(names)) != len(names):
             raise ReproError("duplicate design parameter names")

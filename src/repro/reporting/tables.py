@@ -170,11 +170,27 @@ def effort_table(rows: Sequence[Tuple]) -> str:
     return "\n".join(lines)
 
 
+def effort_rows(effort) -> List[Tuple[str, str]]:
+    """One ``(namespace, "counter=n ...")`` row per namespace of an
+    :class:`~repro.effort.Effort` record with a nonzero counter (zero
+    counters omitted).  Top-level headline counters are left to the
+    caller's own summary line."""
+    rows: List[Tuple[str, str]] = []
+    for name, value in effort.to_dict().items():
+        if isinstance(value, dict):
+            parts = [f"{key}={count}"
+                     for key, count in sorted(value.items()) if count]
+            if parts:
+                rows.append((name, " ".join(parts)))
+    return rows
+
+
 def health_table(result: OptimizationResult) -> str:
     """Render the failure/recovery telemetry of one optimization run:
     fault-policy activity, executor retries/timeouts, shared-pool usage,
-    and warm-start cache effectiveness.  Empty string when the run was
-    entirely clean and serial (nothing worth reporting)."""
+    and every namespaced effort counter (warm-start cache, DC
+    strategies...).  Empty string when the run was entirely clean and
+    serial (nothing worth reporting)."""
     health = getattr(result, "health", None)
     pool_tasks = getattr(result, "pool_tasks", 0)
     rows: List[Tuple[str, str]] = []
@@ -183,22 +199,7 @@ def health_table(result: OptimizationResult) -> str:
         rows.append(("pool tasks", str(pool_tasks)))
         if result.pool_died:
             rows.append(("pool died", "yes (degraded to serial)"))
-    warm = getattr(result, "warm_cache", None)
-    if warm and (warm.get("hits", 0) or warm.get("misses", 0)):
-        rows.append(("warm-cache hits/misses",
-                     f"{warm.get('hits', 0)}/{warm.get('misses', 0)}"))
-        if warm.get("chain_seeds", 0) or warm.get("chain_solves", 0):
-            rows.append(("warm-chain seeds/solves",
-                         f"{warm.get('chain_seeds', 0)}"
-                         f"/{warm.get('chain_solves', 0)}"))
-        if warm.get("evictions", 0):
-            rows.append(("warm-cache evictions",
-                         str(warm.get("evictions", 0))))
-    dc_effort = getattr(result, "dc_effort", None)
-    if dc_effort and any(dc_effort.values()):
-        parts = [f"{label}={count}"
-                 for label, count in sorted(dc_effort.items()) if count]
-        rows.append(("dc solve strategies", " ".join(parts)))
+    rows.extend(effort_rows(result.effort))
     if result.total_failed_samples:
         rows.append(("failed evaluations",
                      str(result.total_failed_samples)))

@@ -193,9 +193,10 @@ class OptimizerCheckpoint:
     #: sampling state: the Eq. 17 sample matrix is fully determined by
     #: these three values, so storing them *is* storing the RNG state
     sample_state: Dict[str, int] = field(default_factory=dict)
-    #: evaluator counters at checkpoint time (folded back on resume so
-    #: Table-7 effort accounting spans the whole logical run)
-    counters: Dict[str, int] = field(default_factory=dict)
+    #: the evaluator's effort record at checkpoint time, in its
+    #: ``to_dict`` form (folded back on resume so Table-7 effort
+    #: accounting spans the whole logical run)
+    counters: Dict = field(default_factory=dict)
     #: wall time consumed before this checkpoint (summed across resumes)
     wall_time_s: float = 0.0
     #: terminal stop reason when the run already ended at this
@@ -349,23 +350,19 @@ def splice_merged_result(path: str, result) -> None:
     record["failed_samples"] = int(result.failed_samples)
     record["verify_samples"] = int(result.n_samples)
     # Fold the sibling shards' effort (merged minus what this
-    # checkpoint's own verification already counted) into the pooled
-    # budget counters.
-    merged_report = merged.get("report") or {}
-    counters = payload.setdefault("counters", {})
-    for merged_key, counter_key in (("simulations", "simulations"),
-                                    ("requests", "requests"),
-                                    ("cache_hits", "cache_hits"),
-                                    ("cache_misses", "cache_misses")):
-        delta = int(merged_report.get(merged_key, 0)) \
-            - int(old_report.get(merged_key, 0))
-        if delta > 0:
-            counters[counter_key] = \
-                int(counters.get(counter_key, 0)) + delta
-    sims_delta = int(merged_report.get("simulations", 0)) \
-        - int(old_report.get("simulations", 0))
-    if sims_delta > 0 and "simulations" in record:
-        record["simulations"] = int(record["simulations"]) + sims_delta
+    # checkpoint's own verification already counted) into every budget
+    # counter the checkpoint tracks.
+    from ..effort import Effort
+    from ..yieldsim.telemetry import RunReport
+    gain = RunReport.from_dict(merged.get("report") or {}).effort \
+        - RunReport.from_dict(old_report).effort
+    counters = Effort.from_dict(payload.get("counters", {}))
+    counters += Effort({key: gain[key] for key in counters
+                        if gain[key] > 0})
+    payload["counters"] = counters.to_dict()
+    if gain["simulations"] > 0 and "simulations" in record:
+        record["simulations"] = int(record["simulations"]) \
+            + gain["simulations"]
     directory = os.path.dirname(os.path.abspath(path))
     handle = tempfile.NamedTemporaryFile(
         "w", dir=directory, suffix=".tmp", delete=False)
@@ -448,7 +445,6 @@ def load_checkpoint(path: str, template) -> OptimizerCheckpoint:
             key: _wc_from_dict(wc, template)
             for key, wc in previous_wc.items()},
         sample_state=dict(payload.get("sample_state", {})),
-        counters={key: int(value)
-                  for key, value in payload.get("counters", {}).items()},
+        counters=dict(payload.get("counters", {})),
         wall_time_s=float(payload.get("wall_time_s", 0.0)),
         stop_reason=payload.get("stop_reason"))

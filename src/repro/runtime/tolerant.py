@@ -20,7 +20,10 @@ models; better to abort with a partial trace).
 
 Everything else — counters, cache, template access — delegates to the
 wrapped evaluator, so the facade drops into any call site that accepts
-an :class:`Evaluator`.
+an :class:`Evaluator`.  The facade's own counters go to the wrapped
+evaluator's effort record too (``failed_evaluations``,
+``retried_evaluations``, ``recovered_evaluations``), so they travel with
+the stack's simulation counts through pool workers and reports.
 """
 
 from __future__ import annotations
@@ -45,13 +48,6 @@ class FaultTolerantEvaluator:
         self._inner = evaluator
         self.policy = policy or FaultPolicy()
         self.fail_mode = fail_mode
-        #: evaluations that ended count-as-fail (lenient: NaN returned;
-        #: strict: the error re-raised after classification)
-        self.failed_evaluations = 0
-        #: individual retry attempts issued
-        self.retried_evaluations = 0
-        #: evaluations that failed at least once but succeeded on a retry
-        self.recovered_evaluations = 0
 
     # -- delegation ---------------------------------------------------------------
     def __getattr__(self, name):
@@ -63,6 +59,24 @@ class FaultTolerantEvaluator:
     def inner(self):
         """The wrapped evaluator."""
         return self._inner
+
+    # -- counter views --------------------------------------------------------
+    @property
+    def failed_evaluations(self) -> int:
+        """Evaluations that ended count-as-fail (lenient: NaN returned;
+        strict: the error re-raised after classification)."""
+        return self._inner.effort["failed_evaluations"]
+
+    @property
+    def retried_evaluations(self) -> int:
+        """Individual retry attempts issued."""
+        return self._inner.effort["retried_evaluations"]
+
+    @property
+    def recovered_evaluations(self) -> int:
+        """Evaluations that failed at least once but succeeded on a
+        retry."""
+        return self._inner.effort["recovered_evaluations"]
 
     # -- modes --------------------------------------------------------------------
     @contextmanager
@@ -100,7 +114,7 @@ class FaultTolerantEvaluator:
             try:
                 values = self._inner.evaluate(d, point, theta)
                 if failed_before:
-                    self.recovered_evaluations += 1
+                    self._inner.effort.count("recovered_evaluations")
                 return values
             except Exception as exc:
                 action = self.policy.classify(exc)
@@ -108,12 +122,12 @@ class FaultTolerantEvaluator:
                     raise
                 failed_before = True
                 if action is FaultAction.RETRY and attempt < retry.attempts:
-                    self.retried_evaluations += 1
+                    self._inner.effort.count("retried_evaluations")
                     point = self.policy.jittered(d, s_hat, theta, attempt)
                     attempt += 1
                     continue
                 # COUNT_AS_FAIL, or RETRY with the attempt budget spent.
-                self.failed_evaluations += 1
+                self._inner.effort.count("failed_evaluations")
                 if self.fail_mode == MODE_RAISE:
                     raise
                 return self._failure_values()
@@ -142,18 +156,18 @@ class FaultTolerantEvaluator:
             if action is FaultAction.ABORT:
                 raise exc
             if action is FaultAction.RETRY and attempt < retry.attempts:
-                self.retried_evaluations += 1
+                self._inner.effort.count("retried_evaluations")
                 point = self.policy.jittered(d, s_hat, theta, attempt)
                 attempt += 1
                 try:
                     values = self._inner.evaluate(d, point, theta)
-                    self.recovered_evaluations += 1
+                    self._inner.effort.count("recovered_evaluations")
                     return values
                 except Exception as new_exc:
                     exc = new_exc
                     continue
             # COUNT_AS_FAIL, or RETRY with the attempt budget spent.
-            self.failed_evaluations += 1
+            self._inner.effort.count("failed_evaluations")
             if self.fail_mode == MODE_RAISE:
                 raise exc
             return self._failure_values()

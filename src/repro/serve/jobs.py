@@ -442,7 +442,10 @@ def execute_optimize(request: OptimizeRequest,
     from ..core import OptimizerConfig, YieldOptimizer
     from ..yieldsim import make_estimator
 
-    template = CIRCUITS[request.circuit]()
+    # A supplied evaluation stack brings its template: the optimizer must
+    # configure and report the instance that actually simulates.
+    template = CIRCUITS[request.circuit]() if evaluator is None \
+        else evaluator.template
     config = OptimizerConfig(
         n_samples_linear=request.samples_linear,
         n_samples_verify=request.samples_verify,

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from ..errors import ServeError
+from ..errors import ServeError, UnknownJobError
 from .wal import (EVENT_CANCEL, EVENT_FINISH, EVENT_RETRY, EVENT_START,
                   EVENT_SUBMIT, WriteAheadLog)
 
@@ -215,7 +215,7 @@ class JobQueue:
         try:
             return self.jobs[job_id]
         except KeyError:
-            raise ServeError(f"unknown job id {job_id!r}")
+            raise UnknownJobError(f"unknown job id {job_id!r}")
 
     def active_jobs(self) -> List[Job]:
         """Queued and running jobs, oldest first (supervision view)."""

@@ -60,7 +60,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Mapping, Optional
 
-from ..errors import ArtifactError, ReproError, ServeError
+from ..errors import (ArtifactError, DrainingError, JobPendingError,
+                      ReproError, ServeError)
 from .jobs import (OptimizeRequest, YieldRequest, cache_key,
                    execute_optimize_job, execute_yield_job,
                    merge_artifacts, optimize_cache_key)
@@ -260,7 +261,7 @@ class ServeApp:
         if not isinstance(payload, Mapping):
             raise ServeError("job submission must be a JSON object")
         if self._draining:
-            raise ServeError("daemon is draining; not accepting jobs")
+            raise DrainingError("daemon is draining; not accepting jobs")
         kind = payload.get("kind", "yield")
         if kind not in _KINDS:
             raise ServeError(
@@ -334,9 +335,10 @@ class ServeApp:
         jobs completed by a previous daemon process."""
         job = self.queue.get(job_id)
         if job.state != DONE:
-            raise ServeError(
-                f"job {job_id} is {job.state}"
-                + (f": {job.error}" if job.error else ""))
+            error = JobPendingError if job.state in _NONTERMINAL \
+                else ServeError
+            raise error(f"job {job_id} is {job.state}"
+                        + (f": {job.error}" if job.error else ""))
         artifact = self._results.get(job_id)
         if artifact is None:
             # Completed before the last restart: the registry came from
@@ -732,15 +734,9 @@ class ServeDaemon:
                     and parts[3] == "cancel" and method == "POST":
                 return 200, self.app.cancel(parts[2])
         except ServeError as exc:
-            text = str(exc)
-            if "unknown job id" in text:
-                return 404, {"error": text}
-            if "draining" in text:
-                return 503, {"error": text}, self._retry_after()
-            if text.startswith("job ") and (" is queued" in text
-                                            or " is running" in text):
-                return 409, {"error": text}, self._retry_after()
-            return 400, {"error": text}
+            if exc.retry_after:
+                return exc.status, {"error": str(exc)}, self._retry_after()
+            return exc.status, {"error": str(exc)}
         except (ArtifactError, ReproError) as exc:
             return 400, {"error": f"{type(exc).__name__}: {exc}"}
         return 404, {"error": f"no route {method} {path}"}

@@ -98,13 +98,6 @@ class YieldEstimator(abc.ABC):
             thetas.append(dict(theta_per_spec[keys[0]]))
             group_keys.append(keys)
 
-        before = (evaluator.simulation_count, evaluator.request_count,
-                  evaluator.cache_hits, evaluator.cache_misses)
-        retried0 = getattr(evaluator, "retried_evaluations", 0)
-        warm_stats = getattr(template, "warm_cache_stats", None)
-        warm0 = warm_stats() if callable(warm_stats) else None
-        dc_stats = getattr(template, "dc_effort_stats", None)
-        dc0 = dc_stats() if callable(dc_stats) else None
         with PhaseTimer(report, "simulate"):
             outcome = BatchExecutor(self.execution, pool=self.pool).run(
                 evaluator, d, thetas, matrix)
@@ -131,34 +124,12 @@ class YieldEstimator(abc.ABC):
                 indicator &= passes
 
         report.theta_groups = len(thetas)
-        report.simulations += evaluator.simulation_count - before[0]
-        report.requests += evaluator.request_count - before[1]
-        report.cache_hits += evaluator.cache_hits - before[2]
-        report.cache_misses += evaluator.cache_misses - before[3]
         report.backend = outcome.backend
         report.jobs = outcome.jobs
-        report.chunks += outcome.chunks
-        report.retried_chunks += outcome.retried_chunks
-        report.timed_out_chunks += outcome.timed_out_chunks
+        report.effort += outcome.effort
         report.failed_samples += int(np.count_nonzero(failed))
-        report.retried_evaluations += \
-            getattr(evaluator, "retried_evaluations", 0) - retried0
         report.degraded_to_serial |= outcome.degraded_to_serial
         report.pool_incompatible |= outcome.pool_incompatible
-        if warm0 is not None:
-            # Warm-start cache effort accrued during this run (the parent
-            # counters already include folded pool-worker deltas).
-            from ..circuit.dc import WarmStartCache
-            delta = WarmStartCache.counter_delta(warm_stats(), warm0)
-            for key, value in delta.items():
-                report.warm_cache[key] = \
-                    report.warm_cache.get(key, 0) + value
-        if dc0 is not None:
-            from ..circuit.dc import DcEffort
-            delta = DcEffort.counter_delta(dc_stats(), dc0)
-            for key, value in delta.items():
-                report.dc_effort[key] = \
-                    report.dc_effort.get(key, 0) + value
         return SampleEvaluation(spec_values=spec_values,
                                 spec_pass=spec_pass,
                                 indicator=indicator, failed=failed,

@@ -48,6 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..effort import Effort
 from ..errors import ReproError
 from ..evaluation.evaluator import Evaluator
 
@@ -98,15 +99,11 @@ class BatchOutcome:
     """
 
     values: List[List[Dict[str, float]]]
-    simulations: int = 0
-    requests: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     backend: str = "serial"
     jobs: int = 1
-    chunks: int = 0
-    retried_chunks: int = 0
-    timed_out_chunks: int = 0
+    #: the batch's effort: the evaluation stack's counters plus the
+    #: executor's ``chunks``/``retried_chunks``/``timed_out_chunks``
+    effort: Effort = field(default_factory=Effort)
     #: True when the pool died (timeout-killed or broken workers) and the
     #: remaining chunks ran serially in the parent
     degraded_to_serial: bool = False
@@ -129,21 +126,16 @@ def _init_worker(template, cache_enabled: bool,
 
 
 def _run_chunk(start: int, rows: np.ndarray
-               ) -> Tuple[int, List[List[Dict[str, float]]], int, int, int,
-                          int]:
-    """Evaluate one chunk inside a worker; returns counter deltas."""
+               ) -> Tuple[int, List[List[Dict[str, float]]], Effort]:
+    """Evaluate one chunk inside a worker; returns the evaluator's
+    effort delta."""
     evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
     d = _WORKER["d"]
     thetas = _WORKER["thetas"]
-    before = (evaluator.simulation_count, evaluator.request_count,
-              evaluator.cache_hits, evaluator.cache_misses)
+    before = evaluator.effort.snapshot()
     values = [[dict(evaluator.evaluate(d, row, theta)) for theta in thetas]
               for row in rows]
-    return (start, values,
-            evaluator.simulation_count - before[0],
-            evaluator.request_count - before[1],
-            evaluator.cache_hits - before[2],
-            evaluator.cache_misses - before[3])
+    return start, values, evaluator.effort - before
 
 
 def _pool_context():
@@ -160,28 +152,18 @@ def _pool_context():
 # -- persistent shared pool ---------------------------------------------------
 @dataclass
 class TaskCounts:
-    """Evaluator-side effort of one pool task, in parent-foldable form.
+    """Effort of one pool task, in parent-foldable form.
 
     ``entries`` are the cache entries the task *added* to its worker's
-    evaluator (insertion order); ``hits`` are the task's local cache hits.
-    ``failed``/``retried``/``recovered`` mirror the per-task
-    :class:`~repro.runtime.tolerant.FaultTolerantEvaluator` counters.
+    evaluator (insertion order); ``effort`` is the worker evaluator's
+    delta (fault-policy counters included) and ``template_effort`` the
+    worker template's.
     """
 
-    requests: int = 0
-    hits: int = 0
-    simulations: int = 0
     entries: List[Tuple[Tuple, Dict[str, float]]] = field(
         default_factory=list)
-    failed: int = 0
-    retried: int = 0
-    recovered: int = 0
-    #: warm-start cache counter deltas of the task (additive; empty when
-    #: the template has no warm cache)
-    warm: Dict[str, int] = field(default_factory=dict)
-    #: per-strategy DC effort counter deltas of the task (additive; empty
-    #: when the template has no DC effort counters)
-    dc: Dict[str, int] = field(default_factory=dict)
+    effort: Effort = field(default_factory=Effort)
+    template_effort: Effort = field(default_factory=Effort)
 
 
 def _init_pool_worker(template, cache_enabled: bool) -> None:
@@ -192,49 +174,26 @@ def _init_pool_worker(template, cache_enabled: bool) -> None:
 
 def _task_target(policy, fail_mode):
     """The evaluation target of one pool task: the worker evaluator,
-    wrapped in a fresh fault-tolerant facade when the parent runs one
-    (fresh => its counters are exactly this task's deltas)."""
+    wrapped in a fault-tolerant facade when the parent runs one (the
+    facade counts into the worker evaluator's record)."""
     evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
     if policy is None:
-        return evaluator, None
+        return evaluator
     from ..runtime.tolerant import FaultTolerantEvaluator
-    guarded = FaultTolerantEvaluator(evaluator, policy, fail_mode)
-    return guarded, guarded
-
-
-def _warm_stats(evaluator: Evaluator) -> Dict[str, int]:
-    stats = getattr(evaluator.template, "warm_cache_stats", None)
-    return stats() if callable(stats) else {}
-
-
-def _dc_stats(evaluator: Evaluator) -> Dict[str, int]:
-    stats = getattr(evaluator.template, "dc_effort_stats", None)
-    return stats() if callable(stats) else {}
+    return FaultTolerantEvaluator(evaluator, policy, fail_mode)
 
 
 def _task_snapshot(evaluator: Evaluator) -> Tuple:
-    return (evaluator.request_count, evaluator.cache_hits,
-            evaluator.simulation_count, evaluator.cache_size,
-            _warm_stats(evaluator), _dc_stats(evaluator))
+    return (evaluator.cache_size, evaluator.effort.snapshot(),
+            evaluator.template.effort.snapshot())
 
 
-def _task_counts(evaluator: Evaluator, before: Tuple,
-                 guarded) -> TaskCounts:
-    from ..circuit.dc import DcEffort, WarmStartCache
-    requests0, hits0, simulations0, cache_len0, warm0, dc0 = before
-    warm = WarmStartCache.counter_delta(_warm_stats(evaluator), warm0) \
-        if warm0 else {}
-    dc_after = _dc_stats(evaluator)
-    dc = DcEffort.counter_delta(dc_after, dc0) if dc_after or dc0 else {}
+def _task_counts(evaluator: Evaluator, before: Tuple) -> TaskCounts:
+    cache_len0, effort0, template0 = before
     return TaskCounts(
-        requests=evaluator.request_count - requests0,
-        hits=evaluator.cache_hits - hits0,
-        simulations=evaluator.simulation_count - simulations0,
         entries=evaluator.cache_items_since(cache_len0),
-        failed=guarded.failed_evaluations if guarded else 0,
-        retried=guarded.retried_evaluations if guarded else 0,
-        recovered=guarded.recovered_evaluations if guarded else 0,
-        warm=warm, dc=dc)
+        effort=evaluator.effort - effort0,
+        template_effort=evaluator.template.effort - template0)
 
 
 def _pool_worst_case(spec, d: Dict[str, float], theta: Dict[str, float],
@@ -242,12 +201,12 @@ def _pool_worst_case(spec, d: Dict[str, float], theta: Dict[str, float],
                      policy, fail_mode) -> Tuple[object, TaskCounts]:
     """One Eq.-8 worst-case search inside a worker."""
     from ..core.worst_case import find_worst_case_point
-    target, guarded = _task_target(policy, fail_mode)
+    target = _task_target(policy, fail_mode)
     evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
     before = _task_snapshot(evaluator)
     result = find_worst_case_point(target, spec, d, theta, s_start=s_start,
                                    multistart=multistart, seed=seed)
-    return result, _task_counts(evaluator, before, guarded)
+    return result, _task_counts(evaluator, before)
 
 
 def _pool_points(points: List[Tuple[Dict[str, float], np.ndarray,
@@ -256,12 +215,12 @@ def _pool_points(points: List[Tuple[Dict[str, float], np.ndarray,
                  ) -> Tuple[List[Dict[str, float]], TaskCounts]:
     """Evaluate a list of ``(d, s_hat, theta)`` points inside a worker
     (finite-difference gradient probes)."""
-    target, guarded = _task_target(policy, fail_mode)
+    target = _task_target(policy, fail_mode)
     evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
     before = _task_snapshot(evaluator)
     values = [dict(target.evaluate(d, s_hat, theta))
               for d, s_hat, theta in points]
-    return values, _task_counts(evaluator, before, guarded)
+    return values, _task_counts(evaluator, before)
 
 
 def _pool_chunk_shared(d: Dict[str, float],
@@ -269,12 +228,12 @@ def _pool_chunk_shared(d: Dict[str, float],
                        policy, fail_mode
                        ) -> Tuple[List[List[Dict[str, float]]], TaskCounts]:
     """Evaluate one Monte-Carlo chunk on the persistent pool."""
-    target, guarded = _task_target(policy, fail_mode)
+    target = _task_target(policy, fail_mode)
     evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
     before = _task_snapshot(evaluator)
     values = [[dict(target.evaluate(d, row, theta)) for theta in thetas]
               for row in rows]
-    return values, _task_counts(evaluator, before, guarded)
+    return values, _task_counts(evaluator, before)
 
 
 def unwrap_pool_stack(evaluator):
@@ -300,37 +259,23 @@ def fold_task(evaluator, counts: TaskCounts) -> None:
     would have counted: every entry new to the parent cache is one
     simulation + one miss; every entry the parent already holds would
     have been a hit.  Tasks must be folded in a deterministic order (the
-    dispatch order), never completion order.
+    dispatch order), never completion order.  The template delta is a
+    fleet-wide *effort* total (each worker owns a private anchor cache),
+    not a replay of the serial hit pattern.
     """
     inner = evaluator
     maybe = unwrap_pool_stack(evaluator)
     if maybe is not None:
         inner = maybe[0]
+    effort = counts.effort
     if inner.cache_enabled:
         new, duplicate = inner.absorb_cache(counts.entries)
-        inner.absorb_counts(simulations=new, requests=counts.requests,
-                            cache_hits=counts.hits + duplicate,
-                            cache_misses=new)
-    else:
-        inner.absorb_counts(simulations=counts.simulations,
-                            requests=counts.requests,
-                            cache_misses=counts.simulations)
-    if counts.failed or counts.retried or counts.recovered:
-        if hasattr(evaluator, "failed_evaluations"):
-            evaluator.failed_evaluations += counts.failed
-            evaluator.retried_evaluations += counts.retried
-            evaluator.recovered_evaluations += counts.recovered
-    if counts.warm and any(counts.warm.values()):
-        # Surface the workers' warm-anchor effort in the parent template's
-        # counters.  This is a fleet-wide *effort* total (each worker owns
-        # a private anchor cache), not a replay of the serial hit pattern.
-        warm_cache = getattr(inner.template, "_warm_cache", None)
-        if warm_cache is not None:
-            warm_cache.absorb(counts.warm)
-    if counts.dc and any(counts.dc.values()):
-        dc_effort = getattr(inner.template, "_dc_effort", None)
-        if dc_effort is not None:
-            dc_effort.absorb(counts.dc)
+        effort = effort + Effort({
+            "simulations": new - effort["simulations"],
+            "cache_misses": new - effort["cache_misses"],
+            "cache_hits": duplicate})
+    inner.effort += effort
+    inner.template.effort += counts.template_effort
 
 
 class PoolHandle:
@@ -483,6 +428,14 @@ class BatchExecutor:
             raise ReproError("sample matrix must be 2-D (n, dim)")
         if not thetas:
             raise ReproError("at least one operating point is required")
+        before = evaluator.total_effort()
+        outcome = self._dispatch(evaluator, d, thetas, matrix)
+        outcome.effort += evaluator.total_effort() - before
+        return outcome
+
+    def _dispatch(self, evaluator, d: Mapping[str, float],
+                  thetas: Sequence[Mapping[str, float]],
+                  matrix: np.ndarray) -> BatchOutcome:
         if self.pool is not None:
             compatible = self.pool.compatible(evaluator)
             if self.pool.alive and compatible and matrix.shape[0] > 1:
@@ -554,21 +507,14 @@ class BatchExecutor:
     def _run_serial(self, evaluator: Evaluator, d: Mapping[str, float],
                     thetas: Sequence[Mapping[str, float]],
                     matrix: np.ndarray) -> BatchOutcome:
-        before = (evaluator.simulation_count, evaluator.request_count,
-                  evaluator.cache_hits, evaluator.cache_misses)
         values = None
         if matrix.shape[0] > 1 and self.config.batch_samples != 1:
             values = self._batched_columns(evaluator, d, thetas, matrix)
         if values is None:
             values = [[dict(evaluator.evaluate(d, row, theta))
                        for theta in thetas] for row in matrix]
-        return BatchOutcome(
-            values=values,
-            simulations=evaluator.simulation_count - before[0],
-            requests=evaluator.request_count - before[1],
-            cache_hits=evaluator.cache_hits - before[2],
-            cache_misses=evaluator.cache_misses - before[3],
-            backend="serial", jobs=1, chunks=1)
+        return BatchOutcome(values=values, backend="serial", jobs=1,
+                            effort=Effort({"chunks": 1}))
 
     # -- process pool ----------------------------------------------------------
     def _chunk_bounds(self, n: int) -> List[Tuple[int, int]]:
@@ -637,7 +583,7 @@ class BatchExecutor:
         assert pool is not None
         maybe = unwrap_pool_stack(evaluator)
         assert maybe is not None
-        inner, policy, fail_mode = maybe
+        _, policy, fail_mode = maybe
         n = matrix.shape[0]
         size = self.config.chunk_size
         if size is None:
@@ -648,9 +594,7 @@ class BatchExecutor:
         thetas_plain = [dict(theta) for theta in thetas]
         outcome = BatchOutcome(values=[[] for _ in range(n)],
                                backend="process-pool", jobs=pool.jobs,
-                               chunks=len(bounds))
-        before = (inner.simulation_count, inner.request_count,
-                  inner.cache_hits, inner.cache_misses)
+                               effort=Effort({"chunks": len(bounds)}))
         pending = [pool.submit(_pool_chunk_shared, d_plain, thetas_plain,
                                matrix[start:end], policy, fail_mode)
                    for start, end in bounds]
@@ -662,12 +606,12 @@ class BatchExecutor:
                         timeout=self.config.timeout_s)
                     fold_task(evaluator, counts)
                 except futures.TimeoutError:
-                    outcome.timed_out_chunks += 1
+                    outcome.effort.count("timed_out_chunks")
                     pool.kill()
                 except BrokenProcessPool:
                     pool.kill()
                 except Exception as exc:
-                    outcome.retried_chunks += 1
+                    outcome.effort.count("retried_chunks")
                     values = self._retry_chunk(evaluator, d_plain,
                                                thetas_plain,
                                                matrix[start:end], exc)
@@ -680,17 +624,13 @@ class BatchExecutor:
                     values, counts = harvest
                     fold_task(evaluator, counts)
                 else:
-                    outcome.retried_chunks += 1
+                    outcome.effort.count("retried_chunks")
                     values = self._retry_chunk(
                         evaluator, d_plain, thetas_plain,
                         matrix[start:end],
                         ReproError("shared worker pool died"))
             for offset, per_theta in enumerate(values):
                 outcome.values[start + offset] = per_theta
-        outcome.simulations = inner.simulation_count - before[0]
-        outcome.requests = inner.request_count - before[1]
-        outcome.cache_hits = inner.cache_hits - before[2]
-        outcome.cache_misses = inner.cache_misses - before[3]
         return outcome
 
     def _run_pool(self, evaluator: Evaluator, d: Mapping[str, float],
@@ -703,12 +643,8 @@ class BatchExecutor:
         thetas_plain = [dict(theta) for theta in thetas]
         outcome = BatchOutcome(values=[[] for _ in range(n)],
                                backend="process-pool", jobs=jobs,
-                               chunks=len(bounds))
-        pool_counts = [0, 0, 0, 0]  # sims, requests, hits, misses
-
-        def fold(counts: Tuple[int, int, int, int]) -> None:
-            for i, delta in enumerate(counts):
-                pool_counts[i] += delta
+                               effort=Effort({"chunks": len(bounds)}))
+        worker_effort = Effort()
 
         pool = futures.ProcessPoolExecutor(
             max_workers=jobs, mp_context=_pool_context(),
@@ -724,14 +660,14 @@ class BatchExecutor:
                 values = None
                 if pool_dead is None:
                     try:
-                        (_, values, *counts) = future.result(
+                        _, values, delta = future.result(
                             timeout=self.config.timeout_s)
-                        fold(tuple(counts))
+                        worker_effort += delta
                     except futures.TimeoutError as exc:
                         # A wedged worker: kill the pool (the hung
                         # process must not outlive the run) and degrade
                         # the rest of the batch to serial execution.
-                        outcome.timed_out_chunks += 1
+                        outcome.effort.count("timed_out_chunks")
                         pool_dead = exc
                         self._kill_pool(pool)
                     except BrokenProcessPool as exc:
@@ -740,7 +676,7 @@ class BatchExecutor:
                         pool_dead = exc
                         self._kill_pool(pool)
                     except Exception as exc:
-                        outcome.retried_chunks += 1
+                        outcome.effort.count("retried_chunks")
                         # The retry runs on the parent evaluator, so its
                         # counter deltas land there directly.
                         values = self._retry_chunk(evaluator, d_plain,
@@ -752,10 +688,10 @@ class BatchExecutor:
                     outcome.degraded_to_serial = True
                     harvest = self._harvest_finished(future)
                     if harvest is not None:
-                        (_, values, *counts) = harvest
-                        fold(tuple(counts))
+                        _, values, delta = harvest
+                        worker_effort += delta
                     else:
-                        outcome.retried_chunks += 1
+                        outcome.effort.count("retried_chunks")
                         values = self._retry_chunk(evaluator, d_plain,
                                                    thetas_plain,
                                                    matrix[start:end],
@@ -770,11 +706,6 @@ class BatchExecutor:
             pool.shutdown(wait=True, cancel_futures=True)
         # Fold worker-side effort into the parent's accounting (retried
         # chunks already counted themselves on the parent evaluator).
-        evaluator.absorb_counts(
-            simulations=pool_counts[0], requests=pool_counts[1],
-            cache_hits=pool_counts[2], cache_misses=pool_counts[3])
-        outcome.simulations = pool_counts[0]
-        outcome.requests = pool_counts[1]
-        outcome.cache_hits = pool_counts[2]
-        outcome.cache_misses = pool_counts[3]
+        record = evaluator.effort
+        record += worker_effort
         return outcome

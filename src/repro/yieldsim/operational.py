@@ -1,10 +1,9 @@
 """Plain operational Monte-Carlo behind the estimator interface.
 
 This is the paper's verifier (Sec. 2, Eq. 6-7; N = 300 between optimizer
-iterations) refactored onto the yieldsim pipeline: identical draws,
-identical pass/fail logic, identical estimates to the legacy
-``repro.core.montecarlo.operational_monte_carlo`` — plus Wilson confidence
-intervals, telemetry, and optional parallel batch execution.
+iterations) on the yieldsim pipeline: seeded draws, per-spec pass/fail at
+each spec's worst-case corner, Wilson confidence intervals, telemetry,
+and optional parallel batch execution.
 """
 
 from __future__ import annotations

@@ -122,8 +122,8 @@ class ShardPlan:
 
 # -- telemetry folding --------------------------------------------------------
 def merge_reports(reports: Sequence[RunReport]) -> Optional[RunReport]:
-    """Fold per-shard run reports into one: counters and phase times
-    add, the degraded/incompatible flags OR together."""
+    """Fold per-shard run reports into one: effort records and phase
+    times add, the degraded/incompatible flags OR together."""
     if not reports:
         return None
     merged = RunReport(estimator=reports[0].estimator)
@@ -132,24 +132,13 @@ def merge_reports(reports: Sequence[RunReport]) -> Optional[RunReport]:
         merged.n_samples += report.n_samples
         merged.theta_groups = max(merged.theta_groups,
                                   report.theta_groups)
-        merged.simulations += report.simulations
-        merged.requests += report.requests
-        merged.cache_hits += report.cache_hits
-        merged.cache_misses += report.cache_misses
         merged.jobs = max(merged.jobs, report.jobs)
-        merged.chunks += report.chunks
-        merged.retried_chunks += report.retried_chunks
-        merged.timed_out_chunks += report.timed_out_chunks
+        merged.effort += report.effort
         merged.failed_samples += report.failed_samples
-        merged.retried_evaluations += report.retried_evaluations
         merged.degraded_to_serial |= report.degraded_to_serial
         merged.pool_incompatible |= report.pool_incompatible
         if report.backend not in backends:
             backends.append(report.backend)
-        for key, count in getattr(report, "warm_cache", {}).items():
-            merged.warm_cache[key] = merged.warm_cache.get(key, 0) + count
-        for key, count in getattr(report, "dc_effort", {}).items():
-            merged.dc_effort[key] = merged.dc_effort.get(key, 0) + count
         for phase, seconds in report.phase_seconds.items():
             merged.phase_seconds[phase] = \
                 merged.phase_seconds.get(phase, 0.0) + seconds

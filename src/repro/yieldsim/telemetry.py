@@ -1,9 +1,10 @@
 """Per-run telemetry for yield-estimation runs.
 
 Every estimator produces a :class:`RunReport` alongside its numeric
-result: how many simulations were spent, how many evaluator requests were
-answered from cache, how the batch executor split the work, and the wall
-time of each phase (sample drawing, simulation, statistical reduction).
+result: the run's :class:`~repro.effort.Effort` (simulations, cache hits,
+executor chunks, fault-policy retries, template counters), how the batch
+executor ran, and the wall time of each phase (sample drawing,
+simulation, statistical reduction).
 The report is a plain JSON-serializable record, so it can be logged,
 diffed across runs, or attached to Table-7 style effort accounting.
 """
@@ -15,32 +16,42 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..effort import Effort
+
+
+#: counters every run report renders, zero or not
+RUN_COUNTERS = ("simulations", "requests", "cache_hits", "cache_misses",
+                "chunks", "retried_chunks", "timed_out_chunks",
+                "retried_evaluations")
+
+#: the report fields that are not effort counters
+_FIELDS = ("estimator", "n_samples", "theta_groups", "backend", "jobs",
+           "failed_samples", "degraded_to_serial", "pool_incompatible")
+
+
+def _run_effort() -> Effort:
+    return Effort(declare=RUN_COUNTERS)
+
 
 @dataclass
 class RunReport:
-    """Telemetry of one yield-estimation run (JSON-serializable)."""
+    """Telemetry of one yield-estimation run (JSON-serializable).
+
+    Every additive counter of the run lives in :attr:`effort` and reads
+    as an attribute: ``report.simulations`` is a top-level counter,
+    ``report.dc_effort`` a namespace (a dict).
+    """
 
     estimator: str = ""
     n_samples: int = 0
     #: distinct worst-case operating corners simulated per sample
     theta_groups: int = 0
-    #: simulator calls actually spent by this run
-    simulations: int = 0
-    #: evaluator requests issued (simulations + cache hits)
-    requests: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: executor backend ("serial" or "process-pool")
     backend: str = "serial"
     jobs: int = 1
-    chunks: int = 0
-    retried_chunks: int = 0
-    timed_out_chunks: int = 0
     #: samples whose evaluation failed under the fault policy and were
     #: counted as violating every spec (NaN performance records)
     failed_samples: int = 0
-    #: retry-with-jitter attempts the fault policy issued during this run
-    retried_evaluations: int = 0
     #: True when a dead/wedged process pool forced the remainder of the
     #: batch onto the serial in-parent path
     degraded_to_serial: bool = False
@@ -48,46 +59,33 @@ class RunReport:
     #: evaluation stack (template mismatch / non-replicable wrapper) and
     #: the batch silently ran serially instead
     pool_incompatible: bool = False
-    #: warm-start cache counter *deltas* accrued during this run
-    #: (hits/misses/chain_seeds/chain_solves/evictions), when the
-    #: template exposes a warm cache; empty otherwise.  Additive across
-    #: shards/workers like the other counters.
-    warm_cache: Dict[str, int] = field(default_factory=dict)
-    #: per-strategy DC solve counter *deltas* accrued during this run
-    #: (newton-warm/newton/gmin-stepping/source-stepping/failed), when
-    #: the template exposes DC effort counters; empty otherwise.
-    #: Additive across shards/workers like the other counters.
-    dc_effort: Dict[str, int] = field(default_factory=dict)
+    #: the effort this run spent: evaluator, executor, fault-policy and
+    #: template counters (``warm_cache.*``, ``dc_effort.*``...), additive
+    #: across shards and workers
+    effort: Effort = field(default_factory=_run_effort)
     #: wall time per phase, seconds
     phase_seconds: Dict[str, float] = field(default_factory=dict)
+
+    def __getattr__(self, name: str):
+        effort = self.__dict__.get("effort")
+        if effort is not None and not name.startswith("_"):
+            if name in effort:
+                return effort[name]
+            space = effort.namespace(name)
+            if space:
+                return space
+        raise AttributeError(name)
 
     @property
     def wall_time_s(self) -> float:
         return float(sum(self.phase_seconds.values()))
 
     def to_dict(self) -> Dict:
-        return {
-            "estimator": self.estimator,
-            "n_samples": self.n_samples,
-            "theta_groups": self.theta_groups,
-            "simulations": self.simulations,
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "backend": self.backend,
-            "jobs": self.jobs,
-            "chunks": self.chunks,
-            "retried_chunks": self.retried_chunks,
-            "timed_out_chunks": self.timed_out_chunks,
-            "failed_samples": self.failed_samples,
-            "retried_evaluations": self.retried_evaluations,
-            "degraded_to_serial": self.degraded_to_serial,
-            "pool_incompatible": self.pool_incompatible,
-            "warm_cache": dict(self.warm_cache),
-            "dc_effort": dict(self.dc_effort),
-            "phase_seconds": dict(self.phase_seconds),
-            "wall_time_s": self.wall_time_s,
-        }
+        data = {name: getattr(self, name) for name in _FIELDS}
+        data.update(self.effort.to_dict())
+        data["phase_seconds"] = dict(self.phase_seconds)
+        data["wall_time_s"] = self.wall_time_s
+        return data
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
@@ -96,28 +94,20 @@ class RunReport:
     def from_dict(cls, data: Dict) -> "RunReport":
         """Inverse of :meth:`to_dict` (``wall_time_s`` is derived and
         ignored); used by checkpoint restore."""
+        counters = {key: value for key, value in data.items()
+                    if key not in _FIELDS
+                    and key not in ("phase_seconds", "wall_time_s")}
         return cls(
             estimator=data.get("estimator", ""),
             n_samples=int(data.get("n_samples", 0)),
             theta_groups=int(data.get("theta_groups", 0)),
-            simulations=int(data.get("simulations", 0)),
-            requests=int(data.get("requests", 0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
             backend=data.get("backend", "serial"),
             jobs=int(data.get("jobs", 1)),
-            chunks=int(data.get("chunks", 0)),
-            retried_chunks=int(data.get("retried_chunks", 0)),
-            timed_out_chunks=int(data.get("timed_out_chunks", 0)),
             failed_samples=int(data.get("failed_samples", 0)),
-            retried_evaluations=int(data.get("retried_evaluations", 0)),
             degraded_to_serial=bool(data.get("degraded_to_serial",
                                              False)),
             pool_incompatible=bool(data.get("pool_incompatible", False)),
-            warm_cache={k: int(v)
-                        for k, v in data.get("warm_cache", {}).items()},
-            dc_effort={k: int(v)
-                       for k, v in data.get("dc_effort", {}).items()},
+            effort=_run_effort() + Effort.from_dict(counters),
             phase_seconds=dict(data.get("phase_seconds", {})))
 
 

@@ -184,7 +184,8 @@ class TestFaultClassificationParity:
             matrix = np.stack(_rows(template, 8, 11))
             config = ExecutionConfig(batch_samples=batch_samples)
             outcome = BatchExecutor(config).run(guarded, d, [theta], matrix)
-            return (outcome.values, outcome.simulations, outcome.requests,
+            return (outcome.values, outcome.effort["simulations"],
+                    outcome.effort["requests"],
                     guarded.failed_evaluations, guarded.retried_evaluations,
                     guarded.recovered_evaluations,
                     template.warm_cache_stats())

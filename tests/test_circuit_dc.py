@@ -5,11 +5,12 @@ import pytest
 
 import repro.circuit.dc as dc_module
 from repro.circuit import Circuit, solve_dc
-from repro.circuit.dc import (DcEffort, GMIN_FACTOR, GMIN_FINAL, GMIN_START,
-                              SOURCE_SCALES, _newton, _source_stepping,
-                              gmin_schedule)
+from repro.circuit.dc import (DC_EFFORT_KEYS, DC_STRATEGIES, GMIN_FACTOR,
+                              GMIN_FINAL, GMIN_START, SOURCE_SCALES, _newton,
+                              _source_stepping, gmin_schedule)
 from repro.circuit.devices import Isource, Vsource
 from repro.circuit.linsolve import resolve_backend
+from repro.effort import Effort
 from repro.errors import ConvergenceError, SingularMatrixError
 from repro.pdk.generic035 import NMOS, PMOS
 
@@ -280,38 +281,37 @@ class TestSourceStepping:
 
 class TestDcEffort:
     def test_counts_winning_strategy(self):
-        effort = DcEffort()
+        effort = Effort(declare=DC_EFFORT_KEYS)
         solve_dc(divider(), effort=effort)
-        assert effort.stats()["newton"] == 1
-        assert effort.stats()["failed"] == 0
+        assert effort["dc_effort.newton"] == 1
+        assert effort["dc_effort.failed"] == 0
 
     def test_counts_warm_strategy(self):
-        effort = DcEffort()
+        effort = Effort(declare=DC_EFFORT_KEYS)
         cold = solve_dc(divider())
         solve_dc(divider(), x0=cold.x, effort=effort)
-        assert effort.stats()["newton-warm"] == 1
-        assert effort.stats()["newton"] == 0
+        assert effort["dc_effort.newton-warm"] == 1
+        assert effort["dc_effort.newton"] == 0
 
     def test_counts_exhausted_chain_as_failed(self, monkeypatch):
         monkeypatch.setattr(dc_module, "MAX_ITERATIONS", 0)
-        effort = DcEffort()
+        effort = Effort(declare=DC_EFFORT_KEYS)
         with pytest.raises(ConvergenceError):
             solve_dc(divider(), effort=effort)
-        stats = effort.stats()
+        stats = effort.namespace("dc_effort")
         assert stats["failed"] == 1
-        assert all(stats[key] == 0 for key in DcEffort.COUNTER_KEYS
+        assert all(stats[key] == 0 for key in DC_STRATEGIES
                    if key != "failed")
 
-    def test_absorb_and_delta_mirror_warm_cache_protocol(self):
-        a = DcEffort()
-        a.count("newton", 3)
-        a.count("gmin-stepping")
-        before = a.stats()
-        a.absorb({"newton": 2, "source-stepping": 1})
-        after = a.stats()
-        delta = DcEffort.counter_delta(after, before)
-        assert delta == {"newton-warm": 0, "newton": 2,
-                         "gmin-stepping": 0, "source-stepping": 1,
-                         "failed": 0}
+    def test_fold_and_delta_keep_declared_strategies(self):
+        a = Effort(declare=DC_EFFORT_KEYS)
+        a.count("dc_effort.newton", 3)
+        a.count("dc_effort.gmin-stepping")
+        before = a.snapshot()
+        a += Effort({"dc_effort.newton": 2, "dc_effort.source-stepping": 1})
+        delta = a - before
+        assert delta.namespace("dc_effort") == {
+            "newton-warm": 0, "newton": 2, "gmin-stepping": 0,
+            "source-stepping": 1, "failed": 0}
         a.clear()
-        assert all(v == 0 for v in a.stats().values())
+        assert all(v == 0 for v in a.namespace("dc_effort").values())

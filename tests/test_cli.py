@@ -104,3 +104,38 @@ class TestAnalysisCommands:
         resumed = capsys.readouterr().out
         assert "stop reason:" in resumed
         assert "final design" in out
+
+    def test_optimize_with_faults_reports_the_simulating_template(
+            self, tmp_path, capsys):
+        """``--inject-faults`` wraps its own evaluator: the effort the run
+        reports must be that evaluator's template's, not an idle
+        second instance's."""
+        import json
+        out = tmp_path / "opt.json"
+        code = main(["optimize", "ota", "--iterations", "1",
+                     "--samples", "2000", "--verify-samples", "30",
+                     "--seed", "3", "--inject-faults", "0.05",
+                     "--fault-seed", "2", "--out", str(out)])
+        assert code == 0
+        result = json.loads(out.read_text())["result"]
+        assert sum(result["dc_effort"].values()) > 0
+        assert result["warm_cache"]["hits"] > 0
+        assert "dc_effort" in capsys.readouterr().out
+
+
+class TestOptimizeWithSuppliedEvaluator:
+    def test_linsolve_reaches_the_evaluated_template(self):
+        from repro.circuits import CIRCUITS
+        from repro.evaluation import Evaluator
+        from repro.runtime import FaultInjectingEvaluator
+        from repro.serve.jobs import OptimizeRequest, execute_optimize
+        template = CIRCUITS["ota"]()
+        evaluator = FaultInjectingEvaluator(Evaluator(template))
+        result = execute_optimize(
+            OptimizeRequest(circuit="ota", iterations=1,
+                            samples_linear=500, samples_verify=8,
+                            seed=3, linsolve="sparse"),
+            evaluator=evaluator)
+        assert template.linsolve == "sparse"
+        assert result.dc_effort == template.dc_effort_stats()
+        assert sum(result.dc_effort.values()) > 0

@@ -294,18 +294,19 @@ class TestWarmStartCacheCounters:
         assert cache.stats()["hits"] == 0
         assert cache.stats()["misses"] == 0
 
-    def test_absorb_and_counter_delta(self):
+    def test_fold_and_delta_of_the_effort_record(self):
         cache = WarmStartCache()
         cache.store("a", None)
         cache.lookup("a")
-        before = cache.stats()
+        before = cache.effort.snapshot()
         cache.lookup("a")
         cache.lookup("zz")
-        delta = WarmStartCache.counter_delta(cache.stats(), before)
-        assert delta == {"hits": 1, "misses": 1, "chain_seeds": 0,
-                         "chain_solves": 0, "evictions": 0}
+        delta = cache.effort - before
+        assert delta.namespace("warm_cache") == {
+            "hits": 1, "misses": 1, "chain_seeds": 0, "chain_solves": 0,
+            "evictions": 0}
         other = WarmStartCache()
-        other.absorb(delta)
+        other.effort += delta
         assert other.stats()["hits"] == 1
         assert other.stats()["misses"] == 1
 

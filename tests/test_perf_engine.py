@@ -21,6 +21,7 @@ from repro.circuit.ac import (AcSystem, SECTION_POINTS,
                               unity_gain_frequency)
 from repro.circuit.dc import GMIN_FINAL, WarmStartCache
 from repro.circuits.base import WARM_KEY_SIG, _warm_rep
+from repro.effort import Effort
 from repro.errors import ConvergenceError
 from repro.evaluation.evaluator import Evaluator, _quantize
 from repro.evaluation.gradient import (all_gradients_d, all_gradients_s,
@@ -178,7 +179,7 @@ class TestWarmStartDc:
         cache.store(("c",), np.zeros(2))  # evicts ("a",)
         assert len(cache) == 2
         assert cache.lookup(("a",)) is WarmStartCache._MISSING
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
 
     def test_warm_rep_quantization(self):
         assert _warm_rep(0.0) == 0.0
@@ -205,7 +206,8 @@ class TestWarmStartDc:
         wb = t2.evaluate(d, s0, theta_b)  # reversed arrival order
         wa = t2.evaluate(d, s0, theta_a)
         assert va == wa and vb == wb
-        assert t1._warm_cache.hits >= 1  # second point reused the anchor
+        # the second point reused the anchor
+        assert t1.warm_cache_stats()["hits"] >= 1
 
 
 class TestEvaluatorKey:
@@ -257,9 +259,10 @@ class TestEvaluatorKey:
             worker.evaluate(d, s, theta)
         parent = Evaluator(template)
         new, dup = parent.absorb_cache(worker.cache_items_since(0))
-        parent.absorb_counts(simulations=new, requests=worker.request_count,
-                             cache_hits=worker.cache_hits + dup,
-                             cache_misses=new)
+        parent.effort += Effort({"simulations": new,
+                                 "requests": worker.request_count,
+                                 "cache_hits": worker.cache_hits + dup,
+                                 "cache_misses": new})
         assert parent.simulation_count == serial.simulation_count
         assert parent.cache_hits == serial.cache_hits
         assert parent.request_count == serial.request_count

@@ -6,6 +6,7 @@ from helpers import LinearTemplate
 from repro.core.mismatch import PairMismatch
 from repro.core.montecarlo import MonteCarloResult
 from repro.core.optimizer import IterationRecord, OptimizationResult
+from repro.effort import Effort
 from repro.reporting import (effort_table, improvement_table, mismatch_table,
                              optimization_trace_table, side_by_side)
 
@@ -35,8 +36,8 @@ class TestTraceTable:
             records=[record(0, -2.3, 1.0, 0.0), record(1, 3.7, 0.0009,
                                                        0.999)],
             d_final={"d0": 1.0, "d1": 0.0}, converged=True,
-            wall_time_s=1.0, total_simulations=200,
-            total_constraint_simulations=20)
+            wall_time_s=1.0,
+            effort=Effort({"simulations": 200, "constraint": 20}))
         text = optimization_trace_table(t, result)
         assert "Initial" in text
         assert "1st Iter." in text

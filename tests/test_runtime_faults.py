@@ -483,10 +483,11 @@ class TestOptimizerUnderFaults:
                        evaluator=probe).run()
         kill_at = probe.request_index + 3
 
+        template = LinearTemplate()
         injector = FaultInjectingEvaluator(
-            Evaluator(LinearTemplate()), schedule=[kill_at],
+            Evaluator(template), schedule=[kill_at],
             error=lambda: NetlistError("shorted net"))
-        result = YieldOptimizer(LinearTemplate(),
+        result = YieldOptimizer(template,
                                 quick_config(min_improvement=-1.0),
                                 evaluator=injector).run()
         assert result.aborted
@@ -532,3 +533,10 @@ class TestOptimizerUnderFaults:
         text = optimization_trace_table(template, result)
         assert "failed samples = 3" in text
         assert "counted as spec-violating" in text
+
+
+class TestOptimizerEvaluatorContract:
+    def test_rejects_evaluator_of_another_template(self):
+        with pytest.raises(ReproError, match="different template"):
+            YieldOptimizer(LinearTemplate(),
+                           evaluator=Evaluator(LinearTemplate()))

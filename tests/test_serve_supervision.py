@@ -306,3 +306,45 @@ class TestClientBackoff:
             assert final["state"] == DONE, final.get("error")
             # terminal responses carry no Retry-After
             assert client.retry_after_s() is None
+
+
+def http_error(url, payload=None):
+    """``(status, Retry-After, error text)`` of a request the server
+    refuses."""
+    import json
+    import urllib.error
+    import urllib.request
+    data = None if payload is None else json.dumps(payload).encode()
+    request = urllib.request.Request(url, data=data, method=(
+        "GET" if payload is None else "POST"))
+    with pytest.raises(urllib.error.HTTPError) as refused:
+        urllib.request.urlopen(request, timeout=30)
+    error = refused.value
+    return (error.code, error.headers.get("Retry-After"),
+            json.loads(error.read().decode())["error"])
+
+
+class TestTypedErrorStatus:
+    def test_pending_result_is_409_and_draining_submit_is_503(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serve.server.execute_yield_job",
+                            sleepy_worker)
+        with ServerThread(str(tmp_path / "store"), workers=1) as server:
+            job = ServeClient(server.url).submit(
+                {"kind": "yield", "request": REQUEST})
+            status, retry, text = http_error(
+                f"{server.url}/v1/jobs/{job['id']}/result")
+            assert status == 409 and retry == "1"
+            assert text.startswith(f"job {job['id']} is ")
+
+            asyncio.run_coroutine_threadsafe(
+                server.app.drain(grace_s=0.0), server._loop).result(30)
+            status, retry, text = http_error(
+                f"{server.url}/v1/jobs", {"kind": "yield",
+                                          "request": REQUEST})
+            assert status == 503 and retry == "1"
+            assert "draining" in text
+
+            status, retry, text = http_error(
+                f"{server.url}/v1/jobs/doesnotexist")
+            assert status == 404 and retry is None

@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from helpers import LinearTemplate
 from repro.core import find_all_worst_case_points
-from repro.core.montecarlo import MonteCarloResult, operational_monte_carlo
+from repro.core.montecarlo import MonteCarloResult
 from repro.errors import ReproError
 from repro.evaluation import Evaluator
 from repro.statistics import SampleSet, wilson_interval
@@ -105,16 +105,6 @@ class TestMonteCarloResultInterval:
 
 
 class TestOperationalMC:
-    def test_matches_legacy_shim_exactly(self):
-        template, ev = linear_setup()
-        legacy = operational_monte_carlo(ev, D, THETA, n_samples=500,
-                                         seed=8)
-        modern = OperationalMC().estimate(ev, D, THETA, n_samples=500,
-                                          seed=8)
-        assert modern.estimate == legacy.yield_estimate
-        assert modern.bad_fraction == legacy.bad_fraction
-        assert modern.performance_mean == legacy.performance_mean
-
     def test_result_record(self):
         template, ev = linear_setup()
         r = OperationalMC().estimate(ev, D, THETA, n_samples=200, seed=1)

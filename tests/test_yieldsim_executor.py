@@ -107,7 +107,7 @@ class TestSerialBackend:
         for row, per_theta in zip(matrix, outcome.values):
             assert per_theta[0]["f"] == pytest.approx(
                 t.value(D, row, THETAS[0]))
-        assert outcome.simulations == 12
+        assert outcome.effort["simulations"] == 12
         assert evaluator.simulation_count == 12
 
     def test_cache_hits_reported(self):
@@ -115,8 +115,8 @@ class TestSerialBackend:
         evaluator = Evaluator(template)
         matrix = np.zeros((5, 2))  # identical rows -> 1 miss + 4 hits
         outcome = BatchExecutor().run(evaluator, D, THETAS, matrix)
-        assert outcome.simulations == 1
-        assert outcome.cache_hits == 4
+        assert outcome.effort["simulations"] == 1
+        assert outcome.effort["cache_hits"] == 4
         assert evaluator.cache_hits == 4
         assert evaluator.cache_misses == 1
 
@@ -127,7 +127,7 @@ class TestProcessPoolBackend:
         _, _, parallel = run(LinearTemplate(),
                              ExecutionConfig(jobs=2, chunk_size=5), n=23)
         assert parallel.backend == "process-pool"
-        assert parallel.chunks == 5
+        assert parallel.effort["chunks"] == 5
         assert parallel.values == serial.values
 
     def test_chunk_size_invariance(self):
@@ -141,7 +141,7 @@ class TestProcessPoolBackend:
         evaluator, _, outcome = run(LinearTemplate(),
                                     ExecutionConfig(jobs=2, chunk_size=4),
                                     n=12)
-        assert outcome.simulations == 12
+        assert outcome.effort["simulations"] == 12
         assert evaluator.simulation_count == 12
         assert evaluator.request_count == 12
 
@@ -151,8 +151,8 @@ class TestProcessPoolBackend:
         matrix = np.random.default_rng(1).standard_normal((2, 2))
         config = ExecutionConfig(jobs=2, chunk_size=1, timeout_s=0.02)
         outcome = BatchExecutor(config).run(evaluator, D, THETAS, matrix)
-        assert outcome.timed_out_chunks >= 1
-        assert outcome.retried_chunks >= 1
+        assert outcome.effort["timed_out_chunks"] >= 1
+        assert outcome.effort["retried_chunks"] >= 1
         reference = BatchExecutor().run(Evaluator(SlowTemplate(0.0)), D,
                                         THETAS, matrix)
         assert outcome.values == reference.values
@@ -163,8 +163,8 @@ class TestProcessPoolBackend:
         matrix = np.random.default_rng(2).standard_normal((6, 2))
         config = ExecutionConfig(jobs=2, chunk_size=3)
         outcome = BatchExecutor(config).run(evaluator, D, THETAS, matrix)
-        assert outcome.retried_chunks == 2
-        assert outcome.timed_out_chunks == 0
+        assert outcome.effort["retried_chunks"] == 2
+        assert outcome.effort["timed_out_chunks"] == 0
         reference = BatchExecutor().run(Evaluator(LinearTemplate()), D,
                                         THETAS, matrix)
         assert outcome.values == reference.values
@@ -203,9 +203,9 @@ class TestPoolDegradation:
         elapsed = time.monotonic() - started
         assert elapsed < 30.0
         assert outcome.degraded_to_serial
-        assert outcome.timed_out_chunks == 1
+        assert outcome.effort["timed_out_chunks"] == 1
         # The remaining chunks were not waited on against the dead pool.
-        assert outcome.retried_chunks >= 1
+        assert outcome.effort["retried_chunks"] >= 1
         reference = BatchExecutor().run(Evaluator(LinearTemplate()), D,
                                         THETAS, matrix)
         assert outcome.values == reference.values
@@ -231,8 +231,8 @@ class TestPoolDegradation:
         config = ExecutionConfig(jobs=2, chunk_size=2)
         outcome = BatchExecutor(config).run(evaluator, D, THETAS, matrix)
         assert outcome.degraded_to_serial
-        assert outcome.timed_out_chunks == 0
-        assert outcome.retried_chunks >= 1
+        assert outcome.effort["timed_out_chunks"] == 0
+        assert outcome.effort["retried_chunks"] >= 1
         reference = BatchExecutor().run(Evaluator(LinearTemplate()), D,
                                         THETAS, matrix)
         assert outcome.values == reference.values

@@ -21,6 +21,7 @@ from scipy.stats import norm
 from helpers import LinearTemplate
 from repro.core import find_all_worst_case_points
 from repro.core.optimizer import OptimizerConfig, YieldOptimizer
+from repro.effort import Effort
 from repro.errors import ReproError
 from repro.evaluation import Evaluator
 from repro.runtime import splice_merged_result
@@ -332,11 +333,14 @@ class TestMergeValidation:
 
 class TestTelemetryFold:
     def test_merge_reports_adds_counters_and_ors_flags(self):
-        a = RunReport(estimator="mc", n_samples=10, simulations=30,
-                      cache_hits=2, chunks=1, failed_samples=1,
-                      backend="serial", phase_seconds={"draw": 0.5})
-        b = RunReport(estimator="mc", n_samples=20, simulations=60,
-                      cache_hits=3, chunks=2, retried_chunks=1,
+        a = RunReport(estimator="mc", n_samples=10,
+                      effort=Effort({"simulations": 30, "cache_hits": 2,
+                                     "chunks": 1}),
+                      failed_samples=1, backend="serial",
+                      phase_seconds={"draw": 0.5})
+        b = RunReport(estimator="mc", n_samples=20,
+                      effort=Effort({"simulations": 60, "cache_hits": 3,
+                                     "chunks": 2, "retried_chunks": 1}),
                       degraded_to_serial=True, backend="process-pool",
                       jobs=4, phase_seconds={"draw": 0.25, "reduce": 1.0})
         merged = merge_reports([a, b])
