@@ -26,6 +26,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..yieldsim.executor import dispatch_points
 from .evaluator import Evaluator
 
 #: Absolute step in normalized statistical coordinates (unit variance).
@@ -43,14 +44,6 @@ def _design_step(parameter, value: float, rel_step: float) -> float:
     a numerically meaningful probe."""
     span = parameter.upper - parameter.lower
     return max(abs(value) * rel_step, span * rel_step * 1e-2, 1e-15)
-
-
-def _pooled_values(pool, evaluator, points):
-    """Probe values via the shared pool, or None (caller loops serially)."""
-    if pool is None:
-        return None
-    from ..yieldsim.executor import dispatch_points
-    return dispatch_points(pool, evaluator, points)
 
 
 def performance_gradient_s(
@@ -75,8 +68,8 @@ def performance_gradient_s(
         probe = s_hat.copy()
         probe[k] += step
         probes.append(probe)
-    values = _pooled_values(pool, evaluator,
-                            [(d, probe, theta) for probe in probes])
+    values = dispatch_points(pool, evaluator,
+                             [(d, probe, theta) for probe in probes])
     if values is None:
         values = [evaluator.evaluate(d, probe, theta) for probe in probes]
     gradient = np.empty(len(s_hat))
@@ -108,8 +101,8 @@ def all_gradients_s(
         probe = s_hat.copy()
         probe[k] += step
         probes.append(probe)
-    values = _pooled_values(pool, evaluator,
-                            [(d, probe, theta) for probe in probes])
+    values = dispatch_points(pool, evaluator,
+                             [(d, probe, theta) for probe in probes])
     if values is None:
         values = [evaluator.evaluate(d, probe, theta) for probe in probes]
     gradients = {name: np.empty(len(s_hat)) for name in names}
@@ -145,9 +138,9 @@ def performance_gradient_d(
         probe = dict(d)
         probe[name] = d[name] + step
         probes.append((name, step, probe))
-    values = _pooled_values(pool, evaluator,
-                            [(probe, s_hat, theta)
-                             for _, _, probe in probes])
+    values = dispatch_points(pool, evaluator,
+                             [(probe, s_hat, theta)
+                              for _, _, probe in probes])
     if values is None:
         values = [evaluator.evaluate(probe, s_hat, theta)
                   for _, _, probe in probes]
@@ -178,9 +171,9 @@ def all_gradients_d(
         probe = dict(d)
         probe[pname] = d[pname] + step
         probes.append((pname, step, probe))
-    values = _pooled_values(pool, evaluator,
-                            [(probe, s_hat, theta)
-                             for _, _, probe in probes])
+    values = dispatch_points(pool, evaluator,
+                             [(probe, s_hat, theta)
+                              for _, _, probe in probes])
     if values is None:
         values = [evaluator.evaluate(probe, s_hat, theta)
                   for _, _, probe in probes]

@@ -3,37 +3,38 @@
 Every yield estimator reduces to the same inner loop: evaluate each
 statistical sample at each distinct worst-case operating corner.  This
 module runs that loop either serially (sharing the caller's cached
-:class:`~repro.evaluation.evaluator.Evaluator`) or on a process pool:
+:class:`~repro.evaluation.evaluator.Evaluator`) or on a
+:class:`PoolHandle`, the one process-pool path of the package:
 
+* a handle is either run-long (the optimizer creates one and shares it
+  across the worst-case searches, the finite-difference gradient probes
+  and the verification Monte-Carlo, so worker spawn and template
+  pickling are paid once) or opened by :class:`BatchExecutor` for a
+  single batch when ``jobs > 1`` and none is attached;
+* each worker owns one cached evaluator around the (pickled) circuit
+  template, wrapped in the parent's fault policy when the parent runs
+  one; a stack workers cannot replicate (e.g. fault injection, whose
+  call-order state lives in the parent) gets no pool and runs serially;
 * the sample matrix is split into contiguous **chunks**, one pool task
-  each, so per-task overhead amortizes over many simulations;
-* each worker process builds its **own** evaluator around the (pickled)
-  circuit template — templates are pure analytic objects, so results are
-  bit-identical to serial evaluation;
-* each chunk has a **timeout and one retry**: a chunk that raises in the
-  pool is re-run serially in the parent, which always terminates, so a
-  wedged worker cannot hang a verification run;
-* a chunk **timeout** or a ``BrokenProcessPool`` marks the pool dead: its
+  each, and a worker runs its chunk through the same in-process path as
+  a serial run (:meth:`BatchExecutor._run_serial`);
+* each task has a **timeout**; a task that raises in the pool is re-run
+  serially in the parent once, which always terminates, so a wedged
+  worker cannot hang a verification run;
+* a task **timeout** or a ``BrokenProcessPool`` marks the pool dead: its
   workers are terminated (a truly hung process must not outlive the run)
-  and the remainder of the batch **degrades to serial** in-parent
-  execution — already-finished chunk results are still harvested, and
+  and the rest of the work **degrades to serial** in-parent execution —
+  tasks that finished before the collapse are still harvested, and
   nothing is retried against a dead pool;
-* results are reassembled **by chunk index**, so the output ordering (and
-  therefore every downstream estimate) is independent of worker count and
-  scheduling;
-* worker-side simulation/cache counters are folded back into the parent
-  evaluator, keeping Table-7 effort accounting complete.
-
-:class:`PoolHandle` is the persistent variant: one process pool created
-per optimizer run and shared by the worst-case searches, the
-finite-difference gradient probes and the verification Monte-Carlo, so
-worker spawn and template pickling are paid once instead of per batch.
-Workers ship back the **cache entries** each task added (not just the
-counter deltas); the parent folds them in a deterministic task order via
-:meth:`repro.evaluation.evaluator.Evaluator.absorb_cache`, which makes
-the parent cache — and therefore every Table-7 counter — identical to a
-serial run's, and keeps the evaluations themselves bit-identical (values
-never depend on which process computed them).
+* results are reassembled in **dispatch order**, so the output (and
+  therefore every downstream estimate) is independent of worker count
+  and scheduling;
+* workers ship back the **cache entries** each task added plus its
+  effort deltas; the parent folds them in dispatch order via
+  :meth:`repro.evaluation.evaluator.Evaluator.absorb_cache`, which makes
+  the parent cache — and therefore every Table-7 counter — identical to
+  a serial run's, and keeps the evaluations themselves bit-identical
+  (values never depend on which process computed them).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import sys
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,8 +69,6 @@ class ExecutionConfig:
     chunk_size: Optional[int] = None
     #: per-chunk wait budget in seconds (None = wait forever)
     timeout_s: Optional[float] = None
-    #: serial in-parent re-runs for a failed/timed-out chunk
-    retries: int = 1
     #: samples per vectorized simulation chunk on the in-process path
     #: (None = auto: the template's default chunk; 1 = force the scalar
     #: per-sample path).  Only affects templates with a sample-batched
@@ -82,8 +81,6 @@ class ExecutionConfig:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ReproError(
                 f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.retries < 0:
-            raise ReproError(f"retries must be >= 0, got {self.retries}")
         if self.batch_samples is not None and self.batch_samples < 1:
             raise ReproError(
                 f"batch_samples must be >= 1, got {self.batch_samples}")
@@ -113,31 +110,6 @@ class BatchOutcome:
     pool_incompatible: bool = False
 
 
-# -- worker side -------------------------------------------------------------
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker(template, cache_enabled: bool,
-                 d: Dict[str, float], thetas: List[Dict[str, float]]):
-    """Pool initializer: build a private evaluator in each worker."""
-    _WORKER["evaluator"] = Evaluator(template, cache=cache_enabled)
-    _WORKER["d"] = d
-    _WORKER["thetas"] = thetas
-
-
-def _run_chunk(start: int, rows: np.ndarray
-               ) -> Tuple[int, List[List[Dict[str, float]]], Effort]:
-    """Evaluate one chunk inside a worker; returns the evaluator's
-    effort delta."""
-    evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    d = _WORKER["d"]
-    thetas = _WORKER["thetas"]
-    before = evaluator.effort.snapshot()
-    values = [[dict(evaluator.evaluate(d, row, theta)) for theta in thetas]
-              for row in rows]
-    return start, values, evaluator.effort - before
-
-
 def _pool_context():
     """Prefer fork on POSIX: workers inherit loaded modules, so templates
     defined outside installed packages (tests, notebooks) stay usable."""
@@ -149,7 +121,10 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-# -- persistent shared pool ---------------------------------------------------
+# -- worker side -------------------------------------------------------------
+_WORKER: Dict[str, object] = {}
+
+
 @dataclass
 class TaskCounts:
     """Effort of one pool task, in parent-foldable form.
@@ -172,68 +147,43 @@ def _init_pool_worker(template, cache_enabled: bool) -> None:
     _WORKER["evaluator"] = Evaluator(template, cache=cache_enabled)
 
 
-def _task_target(policy, fail_mode):
-    """The evaluation target of one pool task: the worker evaluator,
-    wrapped in a fault-tolerant facade when the parent runs one (the
-    facade counts into the worker evaluator's record)."""
+def _run_task(body: Callable, policy, fail_mode, *args
+              ) -> Tuple[object, TaskCounts]:
+    """Run ``body(target, *args)`` inside a worker.
+
+    ``target`` is the worker evaluator, wrapped in a fault-tolerant
+    facade when the parent runs one (the facade counts into the worker
+    evaluator's record).  Returns the body's result and the task's
+    effort in parent-foldable form."""
     evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    if policy is None:
-        return evaluator
-    from ..runtime.tolerant import FaultTolerantEvaluator
-    return FaultTolerantEvaluator(evaluator, policy, fail_mode)
-
-
-def _task_snapshot(evaluator: Evaluator) -> Tuple:
-    return (evaluator.cache_size, evaluator.effort.snapshot(),
-            evaluator.template.effort.snapshot())
-
-
-def _task_counts(evaluator: Evaluator, before: Tuple) -> TaskCounts:
-    cache_len0, effort0, template0 = before
-    return TaskCounts(
+    target = evaluator
+    if policy is not None:
+        from ..runtime.tolerant import FaultTolerantEvaluator
+        target = FaultTolerantEvaluator(evaluator, policy, fail_mode)
+    cache_len0 = evaluator.cache_size
+    effort0 = evaluator.effort.snapshot()
+    template0 = evaluator.template.effort.snapshot()
+    result = body(target, *args)
+    return result, TaskCounts(
         entries=evaluator.cache_items_since(cache_len0),
         effort=evaluator.effort - effort0,
         template_effort=evaluator.template.effort - template0)
 
 
-def _pool_worst_case(spec, d: Dict[str, float], theta: Dict[str, float],
-                     s_start, multistart: int, seed: int,
-                     policy, fail_mode) -> Tuple[object, TaskCounts]:
-    """One Eq.-8 worst-case search inside a worker."""
-    from ..core.worst_case import find_worst_case_point
-    target = _task_target(policy, fail_mode)
-    evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    before = _task_snapshot(evaluator)
-    result = find_worst_case_point(target, spec, d, theta, s_start=s_start,
-                                   multistart=multistart, seed=seed)
-    return result, _task_counts(evaluator, before)
+def _evaluate_points(evaluator, points: Sequence[Tuple]
+                     ) -> List[Dict[str, float]]:
+    """Values of ``(d, s_hat, theta)`` points (gradient probes)."""
+    return [dict(evaluator.evaluate(d, s_hat, theta))
+            for d, s_hat, theta in points]
 
 
-def _pool_points(points: List[Tuple[Dict[str, float], np.ndarray,
-                                    Dict[str, float]]],
-                 policy, fail_mode
-                 ) -> Tuple[List[Dict[str, float]], TaskCounts]:
-    """Evaluate a list of ``(d, s_hat, theta)`` points inside a worker
-    (finite-difference gradient probes)."""
-    target = _task_target(policy, fail_mode)
-    evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    before = _task_snapshot(evaluator)
-    values = [dict(target.evaluate(d, s_hat, theta))
-              for d, s_hat, theta in points]
-    return values, _task_counts(evaluator, before)
-
-
-def _pool_chunk_shared(d: Dict[str, float],
-                       thetas: List[Dict[str, float]], rows: np.ndarray,
-                       policy, fail_mode
-                       ) -> Tuple[List[List[Dict[str, float]]], TaskCounts]:
-    """Evaluate one Monte-Carlo chunk on the persistent pool."""
-    target = _task_target(policy, fail_mode)
-    evaluator: Evaluator = _WORKER["evaluator"]  # type: ignore[assignment]
-    before = _task_snapshot(evaluator)
-    values = [[dict(target.evaluate(d, row, theta)) for theta in thetas]
-              for row in rows]
-    return values, _task_counts(evaluator, before)
+def _evaluate_chunk(evaluator, d: Dict[str, float],
+                    thetas: List[Dict[str, float]], rows: np.ndarray,
+                    batch_samples: Optional[int]
+                    ) -> List[List[Dict[str, float]]]:
+    """One Monte-Carlo chunk through the executor's in-process path."""
+    executor = BatchExecutor(ExecutionConfig(batch_samples=batch_samples))
+    return executor._run_serial(evaluator, d, thetas, rows).values
 
 
 def unwrap_pool_stack(evaluator):
@@ -278,14 +228,27 @@ def fold_task(evaluator, counts: TaskCounts) -> None:
     inner.template.effort += counts.template_effort
 
 
-class PoolHandle:
-    """A persistent process pool shared across the phases of one run.
+def _harvest_finished(future):
+    """The payload of a future that completed *before* the pool died,
+    else None (cancelled / still running / poisoned)."""
+    if not future.done() or future.cancelled():
+        return None
+    try:
+        return future.result(timeout=0)
+    except Exception:
+        return None
 
-    Created once (e.g. per optimizer run) from the run's evaluation
-    stack; the worst-case search, the gradient probes and the
-    verification Monte-Carlo all submit tasks to the same workers, so
-    process spawn and template pickling are paid once.  Each worker owns
-    one cached :class:`Evaluator` that persists across tasks.
+
+# -- the pool ------------------------------------------------------------------
+class PoolHandle:
+    """A process pool whose workers replicate one evaluation stack.
+
+    Created once per optimizer run (or per batch, see
+    :class:`BatchExecutor`); the worst-case search, the gradient probes
+    and the verification Monte-Carlo all submit tasks through
+    :meth:`run_tasks`, so process spawn and template pickling are paid
+    once.  Each worker owns one cached :class:`Evaluator` that persists
+    across tasks.
 
     A timeout or broken pool marks the handle **dead** (workers are
     terminated); every dispatcher checks :attr:`alive` and falls back to
@@ -302,6 +265,8 @@ class PoolHandle:
         #: per-task wait budget for non-MC tasks (None = wait forever)
         self.task_timeout_s = task_timeout_s
         self.tasks_dispatched = 0
+        #: True once a task timeout killed the pool
+        self.timed_out = False
         self._dead = False
         self._pool = futures.ProcessPoolExecutor(
             max_workers=jobs, mp_context=_pool_context(),
@@ -333,16 +298,73 @@ class PoolHandle:
         maybe = unwrap_pool_stack(evaluator)
         return maybe is not None and maybe[0].template is self.template
 
-    def submit(self, fn, *args) -> futures.Future:
-        self.tasks_dispatched += 1
-        return self._pool.submit(fn, *args)
+    def run_tasks(self, evaluator, body: Callable,
+                  task_args: Sequence[Tuple],
+                  timeout_s: Optional[float]) -> List[Optional[object]]:
+        """Run ``body(worker_stack, *args)`` for every ``args`` in
+        ``task_args`` on the workers.
+
+        Results are collected in dispatch order, each waited on for at
+        most ``timeout_s``, and every finished task's effort is folded
+        into ``evaluator`` in that order.  A timeout or a broken pool
+        kills the pool; tasks that finished before it died still count.
+        Returns one entry per task: its result, or None when the caller
+        must re-run the task serially (it raised in the worker, or the
+        pool died before it finished).
+        """
+        _, policy, fail_mode = unwrap_pool_stack(evaluator)
+        self.tasks_dispatched += len(task_args)
+        pending = [self._pool.submit(_run_task, body, policy, fail_mode,
+                                     *args)
+                   for args in task_args]
+        results: List[Optional[object]] = []
+        for future in pending:
+            payload = None
+            if self.alive:
+                try:
+                    payload = future.result(timeout=timeout_s)
+                except futures.TimeoutError:
+                    self.timed_out = True
+                    self.kill()
+                except BrokenProcessPool:
+                    self.kill()
+                except Exception:
+                    pass  # the caller re-runs this task serially
+            if payload is None and not self.alive:
+                payload = _harvest_finished(future)
+            if payload is None:
+                results.append(None)
+                continue
+            result, counts = payload
+            fold_task(evaluator, counts)
+            results.append(result)
+        return results
 
     def kill(self) -> None:
-        """Terminate the workers and mark the handle dead (used on
-        timeout/breakage; all later dispatches degrade to serial)."""
-        if not self._dead:
-            self._dead = True
-            BatchExecutor._kill_pool(self._pool)
+        """Terminate the workers without waiting and mark the handle dead
+        (used on timeout/breakage; all later dispatches degrade to
+        serial).
+
+        ``Future.cancel`` has no effect on a *running* future, so a hung
+        worker would outlive the run if the executor were merely shut
+        down; terminate the worker processes explicitly (and escalate to
+        SIGKILL if termination does not take).  The process list must be
+        snapshotted *before* ``shutdown``, which drops the pool's
+        reference to it."""
+        if self._dead:
+            return
+        self._dead = True
+        processes = list((getattr(self._pool, "_processes", None) or {})
+                         .values())
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+        for process in processes:
+            process.join(timeout=1.0)
+            if process.is_alive():  # pragma: no cover - last resort
+                process.kill()
+                process.join(timeout=1.0)
 
     def close(self) -> None:
         """Orderly shutdown at end of run.  Waits for teardown: an
@@ -375,31 +397,18 @@ def dispatch_points(pool: Optional[PoolHandle], evaluator,
     if pool is None or not pool.alive or not pool.compatible(evaluator) \
             or len(points) < 2:
         return None
-    maybe = unwrap_pool_stack(evaluator)
-    assert maybe is not None
-    _, policy, fail_mode = maybe
     plain = [(dict(d), np.asarray(s_hat, dtype=float), dict(theta))
              for d, s_hat, theta in points]
     size = max(1, math.ceil(len(plain) / pool.jobs))
     chunks = [plain[start:start + size]
               for start in range(0, len(plain), size)]
-    pending = [pool.submit(_pool_points, chunk, policy, fail_mode)
-               for chunk in chunks]
+    results = pool.run_tasks(evaluator, _evaluate_points,
+                             [(chunk,) for chunk in chunks],
+                             pool.task_timeout_s)
     values: List[Dict[str, float]] = []
-    for chunk, future in zip(chunks, pending):
-        chunk_values = None
-        if pool.alive:
-            try:
-                chunk_values, counts = future.result(
-                    timeout=pool.task_timeout_s)
-                fold_task(evaluator, counts)
-            except (futures.TimeoutError, BrokenProcessPool):
-                pool.kill()
-            except Exception:
-                chunk_values = None  # re-run serially below
+    for chunk, chunk_values in zip(chunks, results):
         if chunk_values is None:
-            chunk_values = [dict(evaluator.evaluate(d, s_hat, theta))
-                            for d, s_hat, theta in chunk]
+            chunk_values = _evaluate_points(evaluator, chunk)
         values.extend(chunk_values)
     return values
 
@@ -408,10 +417,10 @@ def dispatch_points(pool: Optional[PoolHandle], evaluator,
 class BatchExecutor:
     """Drives an :class:`Evaluator` over a sample matrix in batches.
 
-    With a :class:`PoolHandle` attached, batches run on the persistent
-    shared pool (when the evaluator stack is worker-replicable); a dead
-    handle degrades to the serial path.  Without one, ``config.jobs > 1``
-    spawns a throwaway per-call pool (the legacy path).
+    With a :class:`PoolHandle` attached, batches run on it (when the
+    evaluation stack is worker-replicable); a dead handle degrades to the
+    serial path.  Without one, ``config.jobs > 1`` opens a handle for the
+    call and closes it afterwards.
     """
 
     def __init__(self, config: Optional[ExecutionConfig] = None,
@@ -436,10 +445,12 @@ class BatchExecutor:
     def _dispatch(self, evaluator, d: Mapping[str, float],
                   thetas: Sequence[Mapping[str, float]],
                   matrix: np.ndarray) -> BatchOutcome:
+        n = matrix.shape[0]
         if self.pool is not None:
             compatible = self.pool.compatible(evaluator)
-            if self.pool.alive and compatible and matrix.shape[0] > 1:
-                return self._run_shared_pool(evaluator, d, thetas, matrix)
+            if self.pool.alive and compatible and n > 1:
+                return self._run_shared_pool(self.pool, evaluator, d,
+                                             thetas, matrix)
             outcome = self._run_serial(evaluator, d, thetas, matrix)
             # Telemetry must name the *reason* the pool went unused: an
             # incompatible stack is flagged even while the pool is
@@ -448,12 +459,25 @@ class BatchExecutor:
             # serially by design, dead pool or not).
             if not compatible:
                 outcome.pool_incompatible = True
-            elif not self.pool.alive and matrix.shape[0] > 1:
+            elif not self.pool.alive and n > 1:
                 outcome.degraded_to_serial = True
             return outcome
-        if self.config.jobs == 1 or matrix.shape[0] == 1:
-            return self._run_serial(evaluator, d, thetas, matrix)
-        return self._run_pool(evaluator, d, thetas, matrix)
+        if self.config.jobs > 1 and n > 1:
+            # No more workers than chunks; a single chunk (or a stack
+            # workers cannot replicate) gets no pool and runs serially.
+            chunks = math.ceil(n / self._chunk_size(n, self.config.jobs))
+            pool = PoolHandle.for_evaluator(
+                evaluator, min(self.config.jobs, chunks))
+            if pool is not None:
+                with pool:
+                    return self._run_shared_pool(pool, evaluator, d,
+                                                 thetas, matrix)
+        return self._run_serial(evaluator, d, thetas, matrix)
+
+    def _chunk_size(self, n: int, jobs: int) -> int:
+        if self.config.chunk_size is not None:
+            return self.config.chunk_size
+        return max(1, math.ceil(n / (jobs * _CHUNKS_PER_WORKER)))
 
     # -- serial ----------------------------------------------------------------
     def _batched_columns(self, evaluator, d: Mapping[str, float],
@@ -517,195 +541,34 @@ class BatchExecutor:
                             effort=Effort({"chunks": 1}))
 
     # -- process pool ----------------------------------------------------------
-    def _chunk_bounds(self, n: int) -> List[Tuple[int, int]]:
-        size = self.config.chunk_size
-        if size is None:
-            size = max(1, math.ceil(n / (self.config.jobs
-                                         * _CHUNKS_PER_WORKER)))
-        return [(start, min(start + size, n)) for start in range(0, n, size)]
-
-    def _retry_chunk(self, evaluator: Evaluator, d: Mapping[str, float],
-                     thetas: Sequence[Mapping[str, float]],
-                     rows: np.ndarray, error: BaseException
-                     ) -> List[List[Dict[str, float]]]:
-        """In-parent serial re-run of one failed chunk (counts on the
-        parent evaluator directly)."""
-        last: BaseException = error
-        for _ in range(self.config.retries):
-            try:
-                return [[dict(evaluator.evaluate(d, row, theta))
-                         for theta in thetas] for row in rows]
-            except Exception as exc:
-                last = exc
-        raise ReproError(
-            f"batch chunk failed after {self.config.retries} "
-            f"retr{'y' if self.config.retries == 1 else 'ies'}: {last}"
-        ) from last
-
-    @staticmethod
-    def _kill_pool(pool: futures.ProcessPoolExecutor) -> None:
-        """Tear a (possibly wedged) pool down without waiting.
-
-        ``Future.cancel`` has no effect on a *running* future, so a hung
-        worker would outlive the run if we merely shut the executor
-        down; terminate the worker processes explicitly (and escalate to
-        SIGKILL if termination does not take).  The process list must be
-        snapshotted *before* ``shutdown``, which drops the pool's
-        reference to it."""
-        processes = list((getattr(pool, "_processes", None) or {})
-                         .values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - last resort
-                process.kill()
-                process.join(timeout=1.0)
-
-    @staticmethod
-    def _harvest_finished(future):
-        """The payload of a future that completed *before* the pool
-        died, else None (cancelled / still running / poisoned)."""
-        if not future.done() or future.cancelled():
-            return None
-        try:
-            return future.result(timeout=0)
-        except Exception:
-            return None
-
-    # -- persistent shared pool ------------------------------------------------
-    def _run_shared_pool(self, evaluator, d: Mapping[str, float],
+    def _run_shared_pool(self, pool: PoolHandle, evaluator,
+                         d: Mapping[str, float],
                          thetas: Sequence[Mapping[str, float]],
                          matrix: np.ndarray) -> BatchOutcome:
-        pool = self.pool
-        assert pool is not None
-        maybe = unwrap_pool_stack(evaluator)
-        assert maybe is not None
-        _, policy, fail_mode = maybe
         n = matrix.shape[0]
-        size = self.config.chunk_size
-        if size is None:
-            size = max(1, math.ceil(n / (pool.jobs * _CHUNKS_PER_WORKER)))
-        bounds = [(start, min(start + size, n))
-                  for start in range(0, n, size)]
-        d_plain = dict(d)
-        thetas_plain = [dict(theta) for theta in thetas]
-        outcome = BatchOutcome(values=[[] for _ in range(n)],
-                               backend="process-pool", jobs=pool.jobs,
-                               effort=Effort({"chunks": len(bounds)}))
-        pending = [pool.submit(_pool_chunk_shared, d_plain, thetas_plain,
-                               matrix[start:end], policy, fail_mode)
-                   for start, end in bounds]
-        for (start, end), future in zip(bounds, pending):
-            values = None
-            if pool.alive:
-                try:
-                    values, counts = future.result(
-                        timeout=self.config.timeout_s)
-                    fold_task(evaluator, counts)
-                except futures.TimeoutError:
-                    outcome.effort.count("timed_out_chunks")
-                    pool.kill()
-                except BrokenProcessPool:
-                    pool.kill()
-                except Exception as exc:
-                    outcome.effort.count("retried_chunks")
-                    values = self._retry_chunk(evaluator, d_plain,
-                                               thetas_plain,
-                                               matrix[start:end], exc)
+        size = self._chunk_size(n, pool.jobs)
+        task_args = [(dict(d), [dict(theta) for theta in thetas],
+                      matrix[start:start + size], self.config.batch_samples)
+                     for start in range(0, n, size)]
+        outcome = BatchOutcome(values=[], backend="process-pool",
+                               jobs=pool.jobs,
+                               effort=Effort({"chunks": len(task_args)}))
+        results = pool.run_tasks(evaluator, _evaluate_chunk, task_args,
+                                 self.config.timeout_s)
+        for args, values in zip(task_args, results):
             if values is None:
-                # The shared pool died: harvest what finished, run the
-                # rest serially in the parent (results are identical).
-                outcome.degraded_to_serial = True
-                harvest = self._harvest_finished(future)
-                if harvest is not None:
-                    values, counts = harvest
-                    fold_task(evaluator, counts)
-                else:
-                    outcome.effort.count("retried_chunks")
-                    values = self._retry_chunk(
-                        evaluator, d_plain, thetas_plain,
-                        matrix[start:end],
-                        ReproError("shared worker pool died"))
-            for offset, per_theta in enumerate(values):
-                outcome.values[start + offset] = per_theta
-        return outcome
-
-    def _run_pool(self, evaluator: Evaluator, d: Mapping[str, float],
-                  thetas: Sequence[Mapping[str, float]],
-                  matrix: np.ndarray) -> BatchOutcome:
-        n = matrix.shape[0]
-        bounds = self._chunk_bounds(n)
-        jobs = min(self.config.jobs, len(bounds))
-        d_plain = dict(d)
-        thetas_plain = [dict(theta) for theta in thetas]
-        outcome = BatchOutcome(values=[[] for _ in range(n)],
-                               backend="process-pool", jobs=jobs,
-                               effort=Effort({"chunks": len(bounds)}))
-        worker_effort = Effort()
-
-        pool = futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(evaluator.template, evaluator.cache_enabled,
-                      d_plain, thetas_plain))
-        pool_dead: Optional[BaseException] = None
-        try:
-            pending = [(start, end,
-                        pool.submit(_run_chunk, start, matrix[start:end]))
-                       for start, end in bounds]
-            for start, end, future in pending:
-                values = None
-                if pool_dead is None:
-                    try:
-                        _, values, delta = future.result(
-                            timeout=self.config.timeout_s)
-                        worker_effort += delta
-                    except futures.TimeoutError as exc:
-                        # A wedged worker: kill the pool (the hung
-                        # process must not outlive the run) and degrade
-                        # the rest of the batch to serial execution.
-                        outcome.effort.count("timed_out_chunks")
-                        pool_dead = exc
-                        self._kill_pool(pool)
-                    except BrokenProcessPool as exc:
-                        # Dead pool: retrying chunk-by-chunk against it
-                        # would fail every time.  Degrade to serial.
-                        pool_dead = exc
-                        self._kill_pool(pool)
-                    except Exception as exc:
-                        outcome.effort.count("retried_chunks")
-                        # The retry runs on the parent evaluator, so its
-                        # counter deltas land there directly.
-                        values = self._retry_chunk(evaluator, d_plain,
-                                                   thetas_plain,
-                                                   matrix[start:end], exc)
-                if values is None:
-                    # The pool died: harvest chunks that finished before
-                    # the collapse, run the rest serially in the parent.
-                    outcome.degraded_to_serial = True
-                    harvest = self._harvest_finished(future)
-                    if harvest is not None:
-                        _, values, delta = harvest
-                        worker_effort += delta
-                    else:
-                        outcome.effort.count("retried_chunks")
-                        values = self._retry_chunk(evaluator, d_plain,
-                                                   thetas_plain,
-                                                   matrix[start:end],
-                                                   pool_dead)
-                for offset, per_theta in enumerate(values):
-                    outcome.values[start + offset] = per_theta
-        finally:
-            # Wait: every future is already resolved here (or its worker
-            # terminated by _kill_pool), and a shutdown still in flight at
-            # interpreter exit races CPython's atexit wakeup of the same
-            # executor (stderr "Bad file descriptor" noise).
-            pool.shutdown(wait=True, cancel_futures=True)
-        # Fold worker-side effort into the parent's accounting (retried
-        # chunks already counted themselves on the parent evaluator).
-        record = evaluator.effort
-        record += worker_effort
+                # One in-parent re-run (counts on the parent evaluator
+                # directly); results are identical to the pool's.
+                outcome.effort.count("retried_chunks")
+                try:
+                    values = _evaluate_chunk(evaluator, *args)
+                except Exception as exc:
+                    raise ReproError(
+                        f"batch chunk failed after one in-parent retry: "
+                        f"{exc}") from exc
+            outcome.values.extend(values)
+        if not pool.alive:
+            outcome.degraded_to_serial = True
+            if pool.timed_out:
+                outcome.effort.count("timed_out_chunks")
         return outcome

@@ -123,6 +123,27 @@ class TestAnalysisCommands:
         assert "dc_effort" in capsys.readouterr().out
 
 
+@pytest.mark.slow
+class TestYieldCommand:
+    def test_pooled_run_reports_worker_template_effort(self, capsys):
+        """``--jobs 2`` folds the workers' DC and warm-start effort into
+        the report, and its estimate equals the serial run's."""
+        import json
+        args = ["yield", "ota", "--estimator", "mc", "--samples", "24",
+                "--seed", "3", "--json"]
+        assert main(args) == 0
+        serial = json.loads(capsys.readouterr().out)
+        assert main(args + ["--jobs", "2"]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        assert pooled["report"]["backend"] == "process-pool"
+        report = pooled["report"]
+        assert sum(report["dc_effort"].values()) > 0
+        assert sum(report["warm_cache"].values()) > 0
+        for key in ("estimate", "ci_low", "ci_high", "n_samples",
+                    "simulations", "bad_fraction", "performance_mean"):
+            assert pooled[key] == serial[key], key
+
+
 class TestOptimizeWithSuppliedEvaluator:
     def test_linsolve_reaches_the_evaluated_template(self):
         from repro.circuits import CIRCUITS

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from helpers import LinearTemplate
-from repro.errors import ReproError
+from repro.errors import ConvergenceError, ReproError
 from repro.evaluation import Evaluator
+from repro.runtime import (FaultInjectingEvaluator, FaultPolicy,
+                           FaultTolerantEvaluator)
 from repro.yieldsim import BatchExecutor, ExecutionConfig
 
 THETAS = [{"temp": 27.0}]
@@ -73,6 +75,21 @@ class DieInWorkerTemplate(LinearTemplate):
         return super().evaluate(d, s_hat, theta)
 
 
+class FailOnRowsTemplate(LinearTemplate):
+    """Raises a retryable :class:`ConvergenceError` at the exact
+    statistical points in ``bad`` (in any process); the fault policy's
+    jittered retry point then evaluates normally."""
+
+    def __init__(self, bad):
+        super().__init__()
+        self.bad = {tuple(row) for row in bad}
+
+    def evaluate(self, d, s_hat, theta):
+        if tuple(np.asarray(s_hat, dtype=float)) in self.bad:
+            raise ConvergenceError("scheduled non-convergence")
+        return super().evaluate(d, s_hat, theta)
+
+
 def run(template, config, n=12):
     evaluator = Evaluator(template)
     matrix = np.random.default_rng(3).standard_normal((n, 2))
@@ -86,8 +103,6 @@ class TestConfigValidation:
             ExecutionConfig(jobs=0)
         with pytest.raises(ReproError):
             ExecutionConfig(chunk_size=0)
-        with pytest.raises(ReproError):
-            ExecutionConfig(retries=-1)
 
     def test_rejects_bad_matrix(self):
         evaluator = Evaluator(LinearTemplate())
@@ -176,9 +191,54 @@ class TestProcessPoolBackend:
         template.home_pid = -1  # fails in the parent too
         evaluator = Evaluator(template)
         matrix = np.zeros((4, 2))
-        config = ExecutionConfig(jobs=2, chunk_size=2, retries=1)
+        config = ExecutionConfig(jobs=2, chunk_size=2)
         with pytest.raises(ReproError):
             BatchExecutor(config).run(evaluator, D, THETAS, matrix)
+
+    def test_fault_injecting_stack_matches_serial(self):
+        """Workers cannot replicate a fault injector (its state lives in
+        the parent), so ``jobs=2`` runs that stack serially: values and
+        fault-policy counters equal ``jobs=1``."""
+        matrix = np.random.default_rng(7).standard_normal((16, 2))
+
+        def injected(config):
+            stack = FaultTolerantEvaluator(FaultInjectingEvaluator(
+                Evaluator(LinearTemplate()), rate=0.2, seed=2))
+            outcome = BatchExecutor(config).run(stack, D, THETAS, matrix)
+            return stack, outcome
+
+        serial_stack, serial = injected(ExecutionConfig())
+        pooled_stack, pooled = injected(
+            ExecutionConfig(jobs=2, chunk_size=4))
+        assert serial_stack.retried_evaluations > 0
+        assert pooled.values == serial.values
+        assert pooled.effort["retried_evaluations"] == \
+            serial.effort["retried_evaluations"]
+        assert pooled_stack.retried_evaluations == \
+            serial_stack.retried_evaluations
+
+    def test_fault_policy_runs_in_the_workers(self):
+        """A fault-tolerant facade over a plain evaluator is replicated
+        in the workers: faults are retried there, no chunk needs an
+        in-parent re-run, and values and counters equal ``jobs=1``."""
+        matrix = np.random.default_rng(8).standard_normal((12, 2))
+        template = FailOnRowsTemplate(matrix[[1, 6, 10]])
+
+        def guarded(config):
+            stack = FaultTolerantEvaluator(Evaluator(template),
+                                           FaultPolicy())
+            outcome = BatchExecutor(config).run(stack, D, THETAS, matrix)
+            return stack, outcome
+
+        serial_stack, serial = guarded(ExecutionConfig())
+        pooled_stack, pooled = guarded(ExecutionConfig(jobs=2, chunk_size=3))
+        assert pooled.backend == "process-pool"
+        assert pooled.effort["retried_chunks"] == 0
+        assert pooled.values == serial.values
+        assert serial_stack.recovered_evaluations == 3
+        for key in ("simulations", "requests", "retried_evaluations",
+                    "recovered_evaluations", "failed_evaluations"):
+            assert pooled.effort[key] == serial.effort[key], key
 
     def test_single_sample_stays_serial(self):
         _, _, outcome = run(LinearTemplate(), ExecutionConfig(jobs=4), n=1)
