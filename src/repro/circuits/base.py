@@ -170,17 +170,52 @@ class OpampTemplate(CircuitTemplate):
                theta: Mapping[str, float]) -> OpenLoopOpampBench:
         pv = self.statistical_space.to_physical(d, s_hat)
         circuit = self.build(d, pv, theta)
-        x0 = None
-        ft_hint = None
-        if self.warm_dc:
-            anchor = self._warm_anchor(d, theta)
-            if anchor is not None:
-                x, slopes, ft_hint = anchor
-                x0 = x if slopes is None else x + slopes @ s_hat
+        warm = self._warm_start(d, s_hat, theta) if self.warm_dc else None
+        return self._open_bench(circuit, theta, *(warm or (None, None)))
+
+    def _open_bench(self, circuit: Circuit, theta: Mapping[str, float],
+                    x0: Optional[np.ndarray] = None,
+                    ft_hint: Optional[float] = None) -> OpenLoopOpampBench:
+        """The open-loop measurement bench around ``circuit``."""
         return OpenLoopOpampBench(circuit, out="out", supply_source="VDD",
                                   temp_c=theta["temp"], x0=x0,
                                   ft_hint=ft_hint, linsolve=self.linsolve,
                                   effort=self.effort)
+
+    def _extract(self, bench: OpenLoopOpampBench, d: Mapping[str, float],
+                 theta: Mapping[str, float]) -> Dict[str, float]:
+        """:meth:`extract`, with a failed testbench reported as the
+        spec-violating :data:`DEAD_CIRCUIT_PERFORMANCES`."""
+        try:
+            return self.extract(bench, d, theta)
+        except (AnalysisError, ExtractionError):
+            return {p.name: DEAD_CIRCUIT_PERFORMANCES.get(p.name, 0.0)
+                    for p in self.performances}
+
+    def _warm_start(self, d: Mapping[str, float], s_hat: np.ndarray,
+                    theta: Mapping[str, float]) -> Optional[tuple]:
+        """``(x0, ft_hint)`` predicted at ``s_hat`` from the anchor of
+        the cell containing ``(d, theta)`` (one anchor lookup), or None
+        when the cell has no anchor."""
+        anchor = self._warm_anchor(d, theta)
+        if anchor is None:
+            return None
+        x, slopes, ft_hint = anchor
+        return (x if slopes is None else x + slopes @ s_hat), ft_hint
+
+    def _solve_at(self, d: Mapping[str, float], s_hat: np.ndarray,
+                  theta: Mapping[str, float], x0=None
+                  ) -> Tuple[Circuit, np.ndarray]:
+        """Build the netlist at ``(d, s_hat, theta)`` and DC-solve it:
+        ``(circuit, x)``.  ``x0`` is a Newton seed, or a zero-argument
+        callable producing one once the build succeeded."""
+        circuit = self.build(d, self.statistical_space.to_physical(d, s_hat),
+                             theta)
+        if callable(x0):
+            x0 = x0()
+        x = solve_dc(circuit, temp_c=theta["temp"], x0=x0,
+                     backend=self.linsolve, effort=self.effort).x
+        return circuit, x
 
     def _warm_anchor(self, d: Mapping[str, float],
                      theta: Mapping[str, float]) -> Optional[tuple]:
@@ -225,22 +260,16 @@ class OpampTemplate(CircuitTemplate):
             return cached
         d_rep = dict(zip(self.design_names, key[0]))
         theta_rep = dict(key[1])
-        space = self.statistical_space
         anchor: Optional[tuple] = None
         try:
-            pv = space.to_physical(d_rep, space.nominal())
-            circuit = self.build(d_rep, pv, theta_rep)
-            x_seed = self._chain_seed(key, d_rep, theta_rep) \
+            seed = (lambda: self._chain_seed(key, d_rep, theta_rep)) \
                 if self.warm_chain else None
-            x = solve_dc(circuit, temp_c=theta_rep["temp"], x0=x_seed,
-                         backend=self.linsolve, effort=self.effort).x
+            circuit, x = self._solve_at(
+                d_rep, self.statistical_space.nominal(), theta_rep, seed)
             ft = None
             try:
-                bench = OpenLoopOpampBench(
-                    circuit, out="out", supply_source="VDD",
-                    temp_c=theta_rep["temp"], x0=x,
-                    linsolve=self.linsolve, effort=self.effort)
-                ft = bench.transit_frequency()
+                ft = self._open_bench(circuit, theta_rep,
+                                      x).transit_frequency()
             except (AnalysisError, ExtractionError):
                 ft = None
             slopes = self._anchor_slopes(d_rep, theta_rep, x) \
@@ -272,13 +301,10 @@ class OpampTemplate(CircuitTemplate):
                 # The point already sits on the coarse grid: seeding from
                 # the parent would just cold-solve the same point twice.
                 return None
-            space = self.statistical_space
             try:
-                pv = space.to_physical(d_parent, space.nominal())
-                circuit = self.build(d_parent, pv, theta_parent)
-                x_parent = solve_dc(circuit, temp_c=theta_parent["temp"],
-                                    backend=self.linsolve,
-                                    effort=self.effort).x
+                _, x_parent = self._solve_at(
+                    d_parent, self.statistical_space.nominal(),
+                    theta_parent)
             except ReproError:
                 x_parent = None
             self.effort.count("warm_cache.chain_solves")
@@ -308,11 +334,7 @@ class OpampTemplate(CircuitTemplate):
             e_i = np.zeros(space.dim)
             e_i[i] = 1.0
             try:
-                pv = space.to_physical(d_rep, e_i)
-                circuit = self.build(d_rep, pv, theta_rep)
-                x_i = solve_dc(circuit, temp_c=theta_rep["temp"], x0=x,
-                               backend=self.linsolve,
-                               effort=self.effort).x
+                _, x_i = self._solve_at(d_rep, e_i, theta_rep, x)
             except ReproError:
                 continue
             if x_i.size == x.size:
@@ -326,12 +348,7 @@ class OpampTemplate(CircuitTemplate):
         that cannot be measured (no gain crossing, and in pathological
         design corners not even a DC solution) is a yield loss, not a
         tool crash."""
-        bench = self._bench(d, s_hat, theta)
-        try:
-            return self.extract(bench, d, theta)
-        except (AnalysisError, ExtractionError):
-            return {p.name: DEAD_CIRCUIT_PERFORMANCES.get(p.name, 0.0)
-                    for p in self.performances}
+        return self._extract(self._bench(d, s_hat, theta), d, theta)
 
     def evaluate_batch(self, d: Mapping[str, float],
                        rows: Sequence[np.ndarray],
@@ -390,14 +407,13 @@ class OpampTemplate(CircuitTemplate):
                     warm_of[i] = (None, None)
                     batched.append(i)
                     continue
-                anchor = self._warm_anchor(d, theta)
-                if anchor is None:
+                warm = self._warm_start(d, rows[i], theta)
+                if warm is None:
                     warm_of[i] = (None, None)
                     serial.append(i)
                     continue
-                x, slopes, ft_hint = anchor
-                x0 = x if slopes is None else x + slopes @ rows[i]
-                warm_of[i] = (x0, ft_hint)
+                warm_of[i] = warm
+                x0 = warm[0]
                 if len(x0) == size and np.all(np.isfinite(x0)):
                     batched.append(i)
                 else:
@@ -415,12 +431,8 @@ class OpampTemplate(CircuitTemplate):
                     continue
                 k = batch_pos.get(i)
                 if k is not None and ok[k]:
-                    x0, ft_hint = warm_of[i]
-                    bench = OpenLoopOpampBench(
-                        plan.sample_circuit(k), out="out",
-                        supply_source="VDD", temp_c=theta["temp"], x0=x0,
-                        ft_hint=ft_hint, linsolve=self.linsolve,
-                        effort=self.effort)
+                    bench = self._open_bench(plan.sample_circuit(k), theta,
+                                             *warm_of[i])
                     bench._op = plan.dc_result(k, int(iters[k]),
                                                strategies[k])
                     # The serial body counts when extract touches the
@@ -428,12 +440,7 @@ class OpampTemplate(CircuitTemplate):
                     self.effort.count(f"dc_effort.{strategies[k]}")
                     bench._systems = plan.systems(k, bench._op)
                     try:
-                        entries[i] = self.extract(bench, d, theta)
-                    except (AnalysisError, ExtractionError):
-                        entries[i] = {
-                            p.name: DEAD_CIRCUIT_PERFORMANCES.get(p.name,
-                                                                  0.0)
-                            for p in self.performances}
+                        entries[i] = self._extract(bench, d, theta)
                     except Exception as exc:
                         entries[i] = exc
                 else:
@@ -446,20 +453,10 @@ class OpampTemplate(CircuitTemplate):
         """The exact serial body of :meth:`evaluate` for one row whose
         physical variations and warm anchor were already resolved (the
         anchor lookup must not be repeated — counter parity)."""
-        x0, ft_hint = warm
         try:
-            circuit = self.build(d, pv, theta)
-            bench = OpenLoopOpampBench(
-                circuit, out="out", supply_source="VDD",
-                temp_c=theta["temp"], x0=x0, ft_hint=ft_hint,
-                linsolve=self.linsolve, effort=self.effort)
-        except Exception as exc:
-            return exc
-        try:
-            return self.extract(bench, d, theta)
-        except (AnalysisError, ExtractionError):
-            return {p.name: DEAD_CIRCUIT_PERFORMANCES.get(p.name, 0.0)
-                    for p in self.performances}
+            return self._extract(
+                self._open_bench(self.build(d, pv, theta), theta, *warm),
+                d, theta)
         except Exception as exc:
             return exc
 

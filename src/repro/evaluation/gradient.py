@@ -11,18 +11,22 @@ Normalized statistical coordinates are all O(1) (unit variance), so one
 absolute step works for ``s``.  Design parameters span decades of physical
 magnitude, so their step is relative.
 
-The probes of one gradient are mutually independent, so every gradient
-function accepts an optional ``pool``
-(:class:`~repro.yieldsim.executor.PoolHandle`) and then evaluates its
-probes concurrently via
-:func:`~repro.yieldsim.executor.dispatch_points`; the arithmetic on the
-returned values is unchanged, so pooled gradients are bit-identical to
-serial ones.
+Each axis kind has one private kernel that differences
+``(probe - base) / step`` for every name in the base values; the
+single-performance functions pass a one-entry base, and every design
+probe (constraint Jacobian included) comes from one builder that flips
+the step at the upper bound.  The probes of one gradient are mutually
+independent and go through
+:func:`~repro.yieldsim.executor.dispatch_points`, which
+evaluates them on an optional ``pool``
+(:class:`~repro.yieldsim.executor.PoolHandle`) when one is usable and
+in-process otherwise; the values are the same either way, so pooled
+gradients are bit-identical to serial ones.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +50,56 @@ def _design_step(parameter, value: float, rel_step: float) -> float:
     return max(abs(value) * rel_step, span * rel_step * 1e-2, 1e-15)
 
 
+def _design_probes(evaluator: Evaluator, d: Mapping[str, float],
+                   rel_step: float) -> List[Tuple[str, float, Dict]]:
+    """``(parameter name, step, probed design)`` per design parameter.
+
+    Probes respect the box bounds by stepping backwards at the upper
+    bound."""
+    probes = []
+    for parameter in evaluator.template.design_parameters:
+        name = parameter.name
+        step = _design_step(parameter, d[name], rel_step)
+        if d[name] + step > parameter.upper:
+            step = -step
+        probe = dict(d)
+        probe[name] = d[name] + step
+        probes.append((name, step, probe))
+    return probes
+
+
+def _s_gradients(evaluator: Evaluator, base: Mapping[str, float],
+                 d: Mapping[str, float], s_hat: np.ndarray,
+                 theta: Mapping[str, float], step: float,
+                 pool) -> Dict[str, np.ndarray]:
+    """Forward differences of every value in ``base`` along each
+    statistical axis (dim(s) probes)."""
+    probes = []
+    for k in range(len(s_hat)):
+        probe = s_hat.copy()
+        probe[k] += step
+        probes.append((d, probe, theta))
+    values = dispatch_points(pool, evaluator, probes)
+    gradients = {name: np.empty(len(s_hat)) for name in base}
+    for k, probe_values in enumerate(values):
+        for name in base:
+            gradients[name][k] = (probe_values[name] - base[name]) / step
+    return gradients
+
+
+def _d_gradients(base: Mapping[str, float],
+                 probes: Sequence[Tuple[str, float, Dict]],
+                 values: Sequence[Mapping[str, float]]
+                 ) -> Dict[str, Dict[str, float]]:
+    """Forward differences of every value in ``base`` along each design
+    parameter, from the values at the :func:`_design_probes`."""
+    gradients: Dict[str, Dict[str, float]] = {name: {} for name in base}
+    for (pname, step, _), probe_values in zip(probes, values):
+        for name in base:
+            gradients[name][pname] = (probe_values[name] - base[name]) / step
+    return gradients
+
+
 def performance_gradient_s(
     evaluator: Evaluator,
     performance: str,
@@ -63,19 +117,8 @@ def performance_gradient_s(
     s_hat = np.asarray(s_hat, dtype=float)
     if base_value is None:
         base_value = evaluator.performance(performance, d, s_hat, theta)
-    probes = []
-    for k in range(len(s_hat)):
-        probe = s_hat.copy()
-        probe[k] += step
-        probes.append(probe)
-    values = dispatch_points(pool, evaluator,
-                             [(d, probe, theta) for probe in probes])
-    if values is None:
-        values = [evaluator.evaluate(d, probe, theta) for probe in probes]
-    gradient = np.empty(len(s_hat))
-    for k, probe_values in enumerate(values):
-        gradient[k] = (probe_values[performance] - base_value) / step
-    return gradient
+    return _s_gradients(evaluator, {performance: base_value}, d, s_hat,
+                        theta, step, pool)[performance]
 
 
 def all_gradients_s(
@@ -95,21 +138,7 @@ def all_gradients_s(
     """
     s_hat = np.asarray(s_hat, dtype=float)
     base = evaluator.evaluate(d, s_hat, theta)
-    names = list(base.keys())
-    probes = []
-    for k in range(len(s_hat)):
-        probe = s_hat.copy()
-        probe[k] += step
-        probes.append(probe)
-    values = dispatch_points(pool, evaluator,
-                             [(d, probe, theta) for probe in probes])
-    if values is None:
-        values = [evaluator.evaluate(d, probe, theta) for probe in probes]
-    gradients = {name: np.empty(len(s_hat)) for name in names}
-    for k, probe_values in enumerate(values):
-        for name in names:
-            gradients[name][k] = (probe_values[name] - base[name]) / step
-    return gradients
+    return _s_gradients(evaluator, base, d, s_hat, theta, step, pool)
 
 
 def performance_gradient_d(
@@ -129,25 +158,12 @@ def performance_gradient_d(
     """
     if base_value is None:
         base_value = evaluator.performance(performance, d, s_hat, theta)
-    probes = []
-    for parameter in evaluator.template.design_parameters:
-        name = parameter.name
-        step = _design_step(parameter, d[name], rel_step)
-        if d[name] + step > parameter.upper:
-            step = -step
-        probe = dict(d)
-        probe[name] = d[name] + step
-        probes.append((name, step, probe))
+    probes = _design_probes(evaluator, d, rel_step)
     values = dispatch_points(pool, evaluator,
                              [(probe, s_hat, theta)
                               for _, _, probe in probes])
-    if values is None:
-        values = [evaluator.evaluate(probe, s_hat, theta)
-                  for _, _, probe in probes]
-    gradient: Dict[str, float] = {}
-    for (name, step, _), probe_values in zip(probes, values):
-        gradient[name] = (probe_values[performance] - base_value) / step
-    return gradient
+    return _d_gradients({performance: base_value}, probes,
+                        values)[performance]
 
 
 def all_gradients_d(
@@ -161,27 +177,11 @@ def all_gradients_d(
     """Gradients of all performances w.r.t. all design parameters from one
     shared set of probes (dim(d)+1 simulations)."""
     base = evaluator.evaluate(d, s_hat, theta)
-    names = list(base.keys())
-    probes = []
-    for parameter in evaluator.template.design_parameters:
-        pname = parameter.name
-        step = _design_step(parameter, d[pname], rel_step)
-        if d[pname] + step > parameter.upper:
-            step = -step
-        probe = dict(d)
-        probe[pname] = d[pname] + step
-        probes.append((pname, step, probe))
+    probes = _design_probes(evaluator, d, rel_step)
     values = dispatch_points(pool, evaluator,
                              [(probe, s_hat, theta)
                               for _, _, probe in probes])
-    if values is None:
-        values = [evaluator.evaluate(probe, s_hat, theta)
-                  for _, _, probe in probes]
-    gradients: Dict[str, Dict[str, float]] = {name: {} for name in names}
-    for (pname, step, _), probe_values in zip(probes, values):
-        for name in names:
-            gradients[name][pname] = (probe_values[name] - base[name]) / step
-    return gradients
+    return _d_gradients(base, probes, values)
 
 
 def constraint_jacobian(
@@ -195,15 +195,6 @@ def constraint_jacobian(
     dim(d)+1 constraint (DC) simulations.
     """
     c0 = evaluator.constraints(d)
-    jacobian: Dict[str, Dict[str, float]] = {name: {} for name in c0}
-    for parameter in evaluator.template.design_parameters:
-        pname = parameter.name
-        step = _design_step(parameter, d[pname], rel_step)
-        if d[pname] + step > parameter.upper:
-            step = -step
-        probe = dict(d)
-        probe[pname] = d[pname] + step
-        values = evaluator.constraints(probe)
-        for cname in c0:
-            jacobian[cname][pname] = (values[cname] - c0[cname]) / step
-    return c0, jacobian
+    probes = _design_probes(evaluator, d, rel_step)
+    values = [evaluator.constraints(probe) for _, _, probe in probes]
+    return c0, _d_gradients(c0, probes, values)

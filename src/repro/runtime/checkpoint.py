@@ -3,8 +3,9 @@
 After every completed iteration the optimizer serializes its full loop
 state — the iteration records, the current design point, the sampling
 state, and the warm-start worst-case points — to a JSON checkpoint
-(written atomically: temp file + rename).  A later run with ``resume``
-restores that state and continues from the next iteration; because every
+(written atomically and durably: fsynced temp file + rename).  A later
+run with ``resume`` restores that state and continues from the next
+iteration; because every
 random draw in the loop is derived from the configured seed and fault
 injection/retry jitter are deterministic in the evaluation *point* (not
 call order), a resumed run reproduces the same trajectory — and the same
@@ -27,6 +28,7 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from ..errors import ReproError
+from ..spec.operating import spec_key
 
 #: current checkpoint schema version
 CHECKPOINT_VERSION = 2
@@ -45,7 +47,7 @@ class CheckpointError(ReproError):
 # -- worst-case results -------------------------------------------------------
 def _wc_to_dict(wc) -> Dict:
     return {
-        "spec_key": f"{wc.spec.performance}{wc.spec.kind}",
+        "spec_key": spec_key(wc.spec),
         "s_wc": [float(v) for v in np.asarray(wc.s_wc, dtype=float)],
         "beta_wc": float(wc.beta_wc),
         "gradient": [float(v) for v in np.asarray(wc.gradient,
@@ -60,7 +62,6 @@ def _wc_to_dict(wc) -> Dict:
 
 def _wc_from_dict(data: Mapping, template) -> "object":
     from ..core.worst_case import WorstCaseResult
-    from ..spec.operating import spec_key
     specs = {spec_key(spec): spec for spec in template.specs}
     try:
         spec = specs[data["spec_key"]]
@@ -267,6 +268,49 @@ def _expand_wc(records: List[Dict], previous_wc: Optional[Dict],
                 previous_wc[key] = reference[key]
 
 
+def _read_payload(path: str) -> Dict:
+    """The raw JSON payload of the checkpoint at ``path``; raises
+    :class:`CheckpointError` on unreadable, corrupt or
+    version-incompatible files."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}")
+    except ValueError as exc:
+        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}")
+    version = payload.get("version")
+    if version not in READABLE_VERSIONS:
+        raise CheckpointError(
+            f"checkpoint {path!r} has schema version {version!r}; "
+            f"this build reads versions "
+            f"{', '.join(map(str, READABLE_VERSIONS))}")
+    return payload
+
+
+def _write_payload(path: str, payload: Mapping) -> None:
+    """Write ``payload`` as JSON to ``path`` atomically and durably: a
+    temp file in the same directory, flushed and fsynced, then renamed
+    over ``path`` (a crash leaves the old file or the new one, never a
+    torn one)."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    handle = tempfile.NamedTemporaryFile(
+        "w", dir=directory, suffix=".tmp", delete=False)
+    try:
+        with handle:
+            json.dump(payload, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, path)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
+
+
 def save_checkpoint(path: str, checkpoint: OptimizerCheckpoint) -> None:
     """Atomically write ``checkpoint`` as JSON to ``path`` (version-2
     schema: repeated worst-case blocks are delta-compacted)."""
@@ -288,20 +332,7 @@ def save_checkpoint(path: str, checkpoint: OptimizerCheckpoint) -> None:
         "wall_time_s": checkpoint.wall_time_s,
         "stop_reason": checkpoint.stop_reason,
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, suffix=".tmp", delete=False)
-    try:
-        with handle:
-            json.dump(payload, handle)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+    _write_payload(path, payload)
 
 
 def splice_merged_result(path: str, result) -> None:
@@ -322,19 +353,7 @@ def splice_merged_result(path: str, result) -> None:
     ``RunBudget``/Table-7 effort reporting reflects the *fleet-wide*
     spend instead of under-reporting to one shard's share.
     """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}")
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}")
-    version = payload.get("version")
-    if version not in READABLE_VERSIONS:
-        raise CheckpointError(
-            f"checkpoint {path!r} has schema version {version!r}; "
-            f"this build reads versions "
-            f"{', '.join(map(str, READABLE_VERSIONS))}")
+    payload = _read_payload(path)
     records = payload.get("records") or []
     if not records:
         raise CheckpointError(
@@ -363,19 +382,7 @@ def splice_merged_result(path: str, result) -> None:
     if gain["simulations"] > 0 and "simulations" in record:
         record["simulations"] = int(record["simulations"]) \
             + gain["simulations"]
-    directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=directory, suffix=".tmp", delete=False)
-    try:
-        with handle:
-            json.dump(payload, handle)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+    _write_payload(path, payload)
 
 
 def peek_checkpoint(path: str) -> Dict:
@@ -387,21 +394,9 @@ def peek_checkpoint(path: str) -> Dict:
     "stop_reason"}``; raises :class:`CheckpointError` on unreadable or
     version-incompatible files.
     """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}")
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}")
-    version = payload.get("version")
-    if version not in READABLE_VERSIONS:
-        raise CheckpointError(
-            f"checkpoint {path!r} has schema version {version!r}; "
-            f"this build reads versions "
-            f"{', '.join(map(str, READABLE_VERSIONS))}")
+    payload = _read_payload(path)
     return {
-        "version": version,
+        "version": payload["version"],
         "template_name": payload.get("template_name"),
         "seed": payload.get("seed"),
         "iteration": int(payload.get("iteration", 0)),
@@ -415,19 +410,7 @@ def load_checkpoint(path: str, template) -> OptimizerCheckpoint:
     Raises :class:`CheckpointError` for unreadable files, incompatible
     schema versions, or a template-name mismatch.
     """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}")
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}")
-    version = payload.get("version")
-    if version not in READABLE_VERSIONS:
-        raise CheckpointError(
-            f"checkpoint {path!r} has schema version {version!r}; "
-            f"this build reads versions "
-            f"{', '.join(map(str, READABLE_VERSIONS))}")
+    payload = _read_payload(path)
     if payload["template_name"] != template.name:
         raise CheckpointError(
             f"checkpoint {path!r} was written for template "

@@ -21,11 +21,12 @@ faults — can be exercised without a flaky simulator:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Mapping, Optional
+from typing import Callable, Dict, Iterable, Mapping
 
 import numpy as np
 
 from ..errors import ConvergenceError, ReproError
+from ..evaluation.evaluator import Evaluator
 from .policy import point_digest
 
 
@@ -80,18 +81,5 @@ class FaultInjectingEvaluator:
             self._raise_fault()
         return self._inner.evaluate(d, s_hat, theta)
 
-    def performance(self, name: str, d: Mapping[str, float],
-                    s_hat: np.ndarray,
-                    theta: Mapping[str, float]) -> float:
-        return self.evaluate(d, s_hat, theta)[name]
-
-    def margins(self, d: Mapping[str, float], s_hat: np.ndarray,
-                theta_per_spec: Mapping[str, Mapping[str, float]]
-                ) -> Dict[str, float]:
-        from ..spec.operating import spec_key
-        result: Dict[str, float] = {}
-        for spec in self._inner.template.specs:
-            key = spec_key(spec)
-            values = self.evaluate(d, s_hat, theta_per_spec[key])
-            result[key] = spec.margin(values[spec.performance])
-        return result
+    performance = Evaluator.performance
+    margins = Evaluator.margins

@@ -13,6 +13,12 @@ applies a :class:`~repro.runtime.policy.FaultPolicy` to every
   any special-casing — or re-raise in **strict** mode,
 * ABORT-class errors always propagate.
 
+The loop lives in one place, :meth:`FaultTolerantEvaluator.
+resume_after_failure`: ``evaluate()`` is a first attempt followed by it,
+and the sample-batched engine hands it each sample whose batched first
+attempt raised, so scalar and batched runs share classification, jitter
+and counters.
+
 The optimizer runs verification Monte-Carlo in lenient mode (a
 non-convergent sample is just a failed sample) and model building in
 strict mode (a NaN gradient would silently poison the spec-wise linear
@@ -33,6 +39,7 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
+from ..evaluation.evaluator import Evaluator
 from .policy import FaultAction, FaultPolicy
 
 #: fail-mode values
@@ -106,51 +113,30 @@ class FaultTolerantEvaluator:
 
     def evaluate(self, d: Mapping[str, float], s_hat: np.ndarray,
                  theta: Mapping[str, float]) -> Dict[str, float]:
-        retry = self.policy.retry
-        attempt = 0
-        failed_before = False
-        point = np.asarray(s_hat, dtype=float)
-        while True:
-            try:
-                values = self._inner.evaluate(d, point, theta)
-                if failed_before:
-                    self._inner.effort.count("recovered_evaluations")
-                return values
-            except Exception as exc:
-                action = self.policy.classify(exc)
-                if action is FaultAction.ABORT:
-                    raise
-                failed_before = True
-                if action is FaultAction.RETRY and attempt < retry.attempts:
-                    self._inner.effort.count("retried_evaluations")
-                    point = self.policy.jittered(d, s_hat, theta, attempt)
-                    attempt += 1
-                    continue
-                # COUNT_AS_FAIL, or RETRY with the attempt budget spent.
-                self._inner.effort.count("failed_evaluations")
-                if self.fail_mode == MODE_RAISE:
-                    raise
-                return self._failure_values()
+        try:
+            return self._inner.evaluate(d, np.asarray(s_hat, dtype=float),
+                                        theta)
+        except Exception as exc:
+            error = exc
+        return self.resume_after_failure(d, s_hat, theta, error)
 
     def resume_after_failure(self, d: Mapping[str, float],
                              s_hat: np.ndarray,
                              theta: Mapping[str, float],
                              error: BaseException) -> Dict[str, float]:
-        """Continue the policy loop of :meth:`evaluate` after the first
-        attempt already failed with ``error`` elsewhere.
+        """The policy loop after a first attempt at ``(d, s_hat, theta)``
+        failed with ``error``: classify, retry at jittered points (the
+        jitter is a deterministic function of ``(d, s_hat, theta,
+        attempt)``), count, and return the values, a NaN record or raise.
 
-        The batched engine evaluates first attempts in bulk; a sample
-        whose attempt raised is handed here, and this method replicates
-        the tail of :meth:`evaluate` exactly — same classification,
-        same jittered retry points (the jitter is a deterministic
-        function of ``(d, s_hat, theta, attempt)``), same counter
-        updates — so a batched run's fault handling is bit- and
-        counter-identical to the serial run's.
+        :meth:`evaluate` is one first attempt plus this loop; the batched
+        engine evaluates first attempts in bulk and hands each sample
+        whose attempt raised here, so a batched run's fault handling is
+        bit- and counter-identical to the serial run's by construction.
         """
         retry = self.policy.retry
         attempt = 0
         exc: BaseException = error
-        point = np.asarray(s_hat, dtype=float)
         while True:
             action = self.policy.classify(exc)
             if action is FaultAction.ABORT:
@@ -173,18 +159,5 @@ class FaultTolerantEvaluator:
             return self._failure_values()
 
     # -- conveniences routed through the policy ----------------------------------
-    def performance(self, name: str, d: Mapping[str, float],
-                    s_hat: np.ndarray,
-                    theta: Mapping[str, float]) -> float:
-        return self.evaluate(d, s_hat, theta)[name]
-
-    def margins(self, d: Mapping[str, float], s_hat: np.ndarray,
-                theta_per_spec: Mapping[str, Mapping[str, float]]
-                ) -> Dict[str, float]:
-        from ..spec.operating import spec_key
-        result: Dict[str, float] = {}
-        for spec in self._inner.template.specs:
-            key = spec_key(spec)
-            values = self.evaluate(d, s_hat, theta_per_spec[key])
-            result[key] = spec.margin(values[spec.performance])
-        return result
+    performance = Evaluator.performance
+    margins = Evaluator.margins

@@ -172,7 +172,8 @@ def _run_task(body: Callable, policy, fail_mode, *args
 
 def _evaluate_points(evaluator, points: Sequence[Tuple]
                      ) -> List[Dict[str, float]]:
-    """Values of ``(d, s_hat, theta)`` points (gradient probes)."""
+    """Values of ``(d, s_hat, theta)`` points (gradient probes), one
+    ``evaluate`` each, in order."""
     return [dict(evaluator.evaluate(d, s_hat, theta))
             for d, s_hat, theta in points]
 
@@ -386,17 +387,20 @@ class PoolHandle:
 def dispatch_points(pool: Optional[PoolHandle], evaluator,
                     points: Sequence[Tuple[Mapping[str, float], np.ndarray,
                                            Mapping[str, float]]]
-                    ) -> Optional[List[Dict[str, float]]]:
-    """Evaluate ``points`` on the pool, folding effort back in dispatch
-    order; returns the value dicts in input order, or None when the pool
-    path is unavailable (caller then runs its serial loop).
+                    ) -> List[Dict[str, float]]:
+    """Value dicts of ``(d, s_hat, theta)`` points, in input order.
 
-    A failed or timed-out task is re-evaluated serially on the parent —
-    the values and parent-side accounting come out identical either way.
+    With a usable pool (alive, compatible with ``evaluator``'s stack, and
+    at least two points) the points run as pool tasks whose effort is
+    folded back in dispatch order, and a failed or timed-out task is
+    re-evaluated on the parent.  Otherwise every point runs in-process
+    through :func:`_evaluate_points`, the same body the workers run —
+    so the values and the parent-side accounting come out identical
+    either way.
     """
     if pool is None or not pool.alive or not pool.compatible(evaluator) \
             or len(points) < 2:
-        return None
+        return _evaluate_points(evaluator, points)
     plain = [(dict(d), np.asarray(s_hat, dtype=float), dict(theta))
              for d, s_hat, theta in points]
     size = max(1, math.ceil(len(plain) / pool.jobs))
@@ -494,11 +498,11 @@ class BatchExecutor:
         per-sample loop (the batched engine guarantees bitwise parity;
         column order only permutes *when* each theta's work happens).
 
-        Fault handling replicates the serial stack: a sample whose first
+        Fault handling is the serial stack's own: a sample whose first
         attempt raised is resumed through the parent's
         :meth:`~repro.runtime.tolerant.FaultTolerantEvaluator.
-        resume_after_failure` (same classification, same deterministic
-        jitter, same counters).  Without a policy the serial loop would
+        resume_after_failure`, the retry loop that ``evaluate`` runs after
+        its own first attempt.  Without a policy the serial loop would
         propagate the first failure in row-major order, so the earliest
         (row, theta) failure is re-raised.
 

@@ -172,3 +172,43 @@ class TestGradients:
         assert c0["c0"] == pytest.approx(0.5)
         assert jac["c0"]["d0"] == pytest.approx(1.0, rel=1e-5)
         assert jac["c0"]["d1"] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestGradientEntryPoints:
+    """The single-performance and all-performance gradients of one axis
+    kind are the same probes and the same arithmetic: on a real circuit
+    they agree bit for bit, and a single-performance gradient with a
+    known base value costs exactly its probes."""
+
+    @pytest.fixture(scope="class")
+    def miller(self):
+        from repro.circuits import MillerOpamp
+        template = MillerOpamp()
+        d = template.initial_design()
+        s_hat = template.statistical_space.nominal()
+        theta = template.operating_range.nominal()
+        base = Evaluator(template).evaluate(d, s_hat, theta)
+        return template, d, s_hat, theta, base
+
+    def test_gradient_s_entry_points_agree(self, miller):
+        template, d, s_hat, theta, base = miller
+        every = all_gradients_s(Evaluator(template), d, s_hat, theta)
+        assert set(every) == set(base)
+        for name in base:
+            ev = Evaluator(template)
+            single = performance_gradient_s(ev, name, d, s_hat, theta,
+                                            base_value=base[name])
+            assert np.array_equal(single, every[name])
+            assert ev.simulation_count == template.statistical_space.dim
+
+    def test_gradient_d_entry_points_agree(self, miller):
+        template, d, s_hat, theta, base = miller
+        every = all_gradients_d(Evaluator(template), d, s_hat, theta)
+        assert set(every) == set(base)
+        for name in base:
+            ev = Evaluator(template)
+            single = performance_gradient_d(ev, name, d, s_hat, theta,
+                                            base_value=base[name])
+            assert single == every[name]
+            assert tuple(single) == tuple(template.design_names)
+            assert ev.simulation_count == len(template.design_parameters)

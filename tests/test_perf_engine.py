@@ -342,7 +342,9 @@ class TestSharedPool:
         dim = template.statistical_space.dim
         points = [(d, np.full(dim, 0.1 * i), {"temp": 27.0})
                   for i in range(4)]
-        assert dispatch_points(pool, evaluator, points) is None
+        serial = Evaluator(template)
+        assert dispatch_points(pool, evaluator, points) == \
+            [serial.evaluate(*p) for p in points]
         estimator = OperationalMC()
         estimator.pool = pool
         result = estimator.estimate(evaluator, d, {"f>=": {"temp": 27.0}},

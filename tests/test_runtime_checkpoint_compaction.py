@@ -1,15 +1,19 @@
 """Tests for the version-2 checkpoint compaction (delta-encoded
-worst-case blocks) and for atomic checkpoint writes under concurrency."""
+worst-case blocks) and for atomic, durable checkpoint writes."""
 
 import copy
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 from helpers import LinearTemplate
 from repro.core.optimizer import OptimizerConfig, YieldOptimizer
+from repro.evaluation import Evaluator
 from repro.runtime import (CHECKPOINT_VERSION, OptimizerCheckpoint,
                            READABLE_VERSIONS, load_checkpoint,
-                           record_to_dict, save_checkpoint)
+                           record_to_dict, save_checkpoint,
+                           splice_merged_result)
+from repro.yieldsim import OperationalMC
 from repro.runtime.checkpoint import _wc_to_dict
 
 
@@ -181,3 +185,45 @@ class TestConcurrentWrites:
             assert final["iteration"] == writes - 1
         leftovers = list(tmp_path.glob("*.tmp"))
         assert leftovers == []
+
+
+class TestDurableWrites:
+    def test_writes_fsync_the_temp_file_before_the_rename(self, tmp_path,
+                                                          monkeypatch):
+        """Both checkpoint writers flush and fsync the temp file before
+        ``os.replace`` publishes it, so a crash after the rename cannot
+        leave a checkpoint whose data never reached the disk."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, OptimizerCheckpoint(
+            template_name="linear", seed=0, iteration=0,
+            d_f={"d0": 1.0, "d1": 0.0}))
+        assert [kind for kind, _ in events] == ["fsync", "replace"]
+        assert events[0][1] == events[1][1]  # the renamed temp file
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["records"] = [{"mc": None}]
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        result = OperationalMC().estimate(
+            Evaluator(LinearTemplate()), {"d0": 1.0, "d1": 0.0},
+            {"f>=": {"temp": 27.0}}, n_samples=8, seed=1)
+        events.clear()
+        splice_merged_result(path, result)
+        assert [kind for kind, _ in events] == ["fsync", "replace"]
+        assert events[0][1] == events[1][1]  # the renamed temp file
+        with open(path) as handle:
+            assert json.load(handle)["records"][0]["yield_mc"] == \
+                result.estimate
